@@ -532,27 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn access_batch_is_bit_identical_to_the_loop() {
-        let mut looped = AgacCache::new(1024, 32, 8).unwrap();
-        let mut batched = AgacCache::new(1024, 32, 8).unwrap();
-        let accesses = fuzz_accesses(6_000, 13);
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        assert_eq!(looped.stats(), batched.stats());
-        assert_eq!(looped.usage, batched.usage, "usage counters");
-        assert_eq!(looped.blocks, batched.blocks, "block ids");
-        assert_eq!(looped.valid, batched.valid, "valid bits");
-        assert_eq!(looped.dirty, batched.dirty, "dirty bits");
-        assert_eq!(looped.referenced, batched.referenced, "reference bits");
-        assert_eq!(looped.out_dir, batched.out_dir, "out-of-position dir");
-        assert_eq!(looped.out_next, batched.out_next, "FIFO cursors");
-        assert_eq!(looped.hole_scan, batched.hole_scan, "hole scan cursors");
-        assert_eq!(looped.relocated_hits, batched.relocated_hits);
-    }
-
-    #[test]
     fn observer_sees_identical_events_from_loop_and_batch() {
         use telemetry::EventRing;
         let accesses = fuzz_accesses(5_000, 29);

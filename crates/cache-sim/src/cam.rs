@@ -6,16 +6,16 @@
 //! This module generalizes that trick so every model with a CAM-style
 //! structure — the victim buffer's 16-entry FA search, AGAC's
 //! out-of-position directory, the HAC subarrays — shares one
-//! implementation, now built on the [`crate::simd`] lane operations:
-//! each probe is a compare-mask (AVX2 or portable, decided once per
-//! process) followed by a `trailing_zeros` priority encode.
+//! implementation, built on the [`crate::simd`] lane operations: each
+//! probe is a compare-mask followed by a `trailing_zeros` priority
+//! encode.
 //!
 //! Each helper takes a const generic width `N`; `N == 0` selects a
 //! runtime-width fallback with identical semantics (first match /
 //! first invalid / first minimum), so callers dispatch on the common
 //! power-of-two widths and fall back for exotic shapes. With `N > 0`
-//! the slice length is known to the compiler, so the portable backend
-//! unrolls the lane loop exactly like the hand-written PR 7 kernels.
+//! the slice length is known to the compiler, which unrolls the lane
+//! loop into straight-line compares.
 
 use crate::packed;
 use crate::simd;
@@ -61,6 +61,26 @@ pub(crate) fn find_invalid<const N: usize>(words: &[u64]) -> Option<usize> {
 #[inline(always)]
 pub(crate) fn min_stamp<const N: usize>(stamps: &[u64]) -> usize {
     simd::min_index(fixed::<N>(stamps))
+}
+
+/// Expands to a `match` running `$kernel!(N)` with `N` a const CAM
+/// width for the widths worth specializing (powers of two up to 32:
+/// the paper's associativities, victim-buffer sizes and BAS values),
+/// and `$kernel!(0)`, the runtime-width fallback, for anything else.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! dispatch_width {
+    ($width:expr, $kernel:ident) => {
+        match $width {
+            1 => $kernel!(1),
+            2 => $kernel!(2),
+            4 => $kernel!(4),
+            8 => $kernel!(8),
+            16 => $kernel!(16),
+            32 => $kernel!(32),
+            _ => $kernel!(0),
+        }
+    };
 }
 
 #[cfg(test)]
@@ -126,7 +146,7 @@ mod tests {
     /// The runtime fallback (`N == 0`) pinned against the const-width
     /// path for every width 1–33 — covering each lane-group shape, the
     /// scalar tails, and the non-power-of-two widths only the fallback
-    /// branch of `dispatch_assoc!`/`dispatch_entries!` ever sees.
+    /// branch of `dispatch_width!` ever sees.
     #[test]
     fn runtime_fallback_matches_every_const_width_1_to_33() {
         macro_rules! pin_width {

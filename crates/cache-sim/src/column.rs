@@ -411,24 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn access_batch_is_bit_identical_to_the_loop() {
-        let mut looped = ColumnAssociativeCache::new(1024, 32).unwrap();
-        let mut batched = ColumnAssociativeCache::new(1024, 32).unwrap();
-        let accesses = fuzz_accesses(6_000, 4);
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        assert_eq!(looped.stats(), batched.stats());
-        assert_eq!(looped.usage, batched.usage, "usage counters");
-        assert_eq!(looped.blocks, batched.blocks, "block ids");
-        assert_eq!(looped.valid, batched.valid, "valid bits");
-        assert_eq!(looped.dirty, batched.dirty, "dirty bits");
-        assert_eq!(looped.rehash, batched.rehash, "rehash bits");
-        assert_eq!(looped.rehash_hits, batched.rehash_hits, "rehash hits");
-    }
-
-    #[test]
     fn observer_sees_identical_events_from_loop_and_batch() {
         use telemetry::EventRing;
         let accesses = fuzz_accesses(5_000, 41);

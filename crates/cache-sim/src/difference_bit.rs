@@ -15,9 +15,10 @@ use telemetry::{NullObserver, Observer};
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
-use crate::replacement::{Lru, PolicyKind};
-use crate::set_assoc::{step_one, SetAssociativeCache};
-use crate::stats::{BatchTally, CacheStats, SetUsage};
+use crate::packed;
+use crate::replacement::PolicyKind;
+use crate::set_assoc::{SetAssociativeCache, StepHook};
+use crate::stats::{CacheStats, SetUsage};
 
 /// A 2-way difference-bit cache.
 ///
@@ -26,9 +27,9 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// how often a fill forces it to be recomputed — the bookkeeping the
 /// special decoder performs in hardware.
 ///
-/// [`CacheModel::access_batch`] fuses the decoder bookkeeping around the
-/// shared set-associative step kernel and is bit-identical to the
-/// per-access path, [`Observer`] events included.
+/// Both access paths run the decoder bookkeeping around the shared
+/// set-associative step kernel, so they are bit-identical,
+/// [`Observer`] events included.
 ///
 /// # Examples
 ///
@@ -43,11 +44,55 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 #[derive(Debug)]
 pub struct DifferenceBitCache<O: Observer = NullObserver> {
     inner: SetAssociativeCache<O>,
-    // Shadow of the stored tags per (set, way).
-    tags: Vec<Option<u64>>,
+    decoder: Decoder,
+}
+
+/// The special decoder, run around the inner cache's step: it reads
+/// the two stored tags of a set straight from the packed tag array.
+#[derive(Debug)]
+struct Decoder {
     // The difference-bit position per set (valid when both ways full).
     diff_bit: Vec<Option<u32>>,
-    diff_bit_updates: u64,
+    updates: u64,
+}
+
+impl Decoder {
+    /// The way the decoder selects for `tag` in a set holding `ways`.
+    fn select(&self, set: usize, ways: &[u64], tag: u64) -> Option<usize> {
+        let bit = self.diff_bit[set]?;
+        // Select the way whose stored tag matches the address at the
+        // difference position.
+        let tag0 = packed::tag(ways[0]);
+        Some(usize::from((tag0 >> bit) & 1 != (tag >> bit) & 1))
+    }
+}
+
+impl StepHook for Decoder {
+    #[inline(always)]
+    fn before(&mut self, set: usize, ways: &[u64], tag: u64) -> u32 {
+        // The decoder's invariant: if the block is resident and the set
+        // is full, the difference bit must select the way that holds it.
+        if let Some(way) = self.select(set, ways, tag) {
+            debug_assert!(
+                !packed::matches(ways[1 - way], tag) || packed::matches(ways[way], tag),
+                "difference bit must never route a hit to the wrong way"
+            );
+        }
+        0
+    }
+
+    #[inline(always)]
+    fn after_miss(&mut self, set: usize, ways: &[u64]) {
+        self.diff_bit[set] = match (ways[0], ways[1]) {
+            (x, y) if packed::is_valid(x) && packed::is_valid(y) => {
+                let (x, y) = (packed::tag(x), packed::tag(y));
+                debug_assert_ne!(x, y, "two ways of a set can never hold equal tags");
+                Some((x ^ y).trailing_zeros())
+            }
+            _ => None,
+        };
+        self.updates += 1;
+    }
 }
 
 impl DifferenceBitCache {
@@ -84,9 +129,10 @@ impl<O: Observer> DifferenceBitCache<O> {
         let sets = inner.geometry().sets();
         Ok(DifferenceBitCache {
             inner,
-            tags: vec![None; sets * 2],
-            diff_bit: vec![None; sets],
-            diff_bit_updates: 0,
+            decoder: Decoder {
+                diff_bit: vec![None; sets],
+                updates: 0,
+            },
         })
     }
 
@@ -102,7 +148,7 @@ impl<O: Observer> DifferenceBitCache<O> {
 
     /// How many fills recomputed a set's difference bit.
     pub fn diff_bit_updates(&self) -> u64 {
-        self.diff_bit_updates
+        self.decoder.updates
     }
 
     /// The way the difference-bit decoder would select for `addr`, when
@@ -110,127 +156,18 @@ impl<O: Observer> DifferenceBitCache<O> {
     pub fn selected_way(&self, addr: Addr) -> Option<usize> {
         let geom = self.inner.geometry();
         let set = geom.set_index(addr);
-        let bit = self.diff_bit[set]?;
-        let tag0 = self.tags[set * 2]?;
-        let addr_bit = (geom.tag(addr) >> bit) & 1;
-        // Way 0 is the way whose tag bit equals... select the way whose
-        // stored tag matches the address at the difference position.
-        Some(if (tag0 >> bit) & 1 == addr_bit { 0 } else { 1 })
-    }
-
-    fn recompute_diff_bit(&mut self, set: usize) {
-        let (a, b) = (self.tags[set * 2], self.tags[set * 2 + 1]);
-        self.diff_bit[set] = match (a, b) {
-            (Some(x), Some(y)) => {
-                debug_assert_ne!(x, y, "two ways of a set can never hold equal tags");
-                Some((x ^ y).trailing_zeros())
-            }
-            _ => None,
-        };
-        self.diff_bit_updates += 1;
+        self.decoder
+            .select(set, self.inner.set_words(set), geom.tag(addr))
     }
 }
 
 impl<O: Observer> CacheModel for DifferenceBitCache<O> {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let geom = self.inner.geometry();
-        let set = geom.set_index(addr);
-        let tag = geom.tag(addr);
-
-        // Check the decoder's invariant before mutating: if the block is
-        // resident and the set is full, the difference bit must select
-        // the way that holds it.
-        if let Some(way) = self.selected_way(addr) {
-            let selected_tag = self.tags[set * 2 + way];
-            let other_tag = self.tags[set * 2 + (1 - way)];
-            debug_assert!(
-                other_tag != Some(tag) || selected_tag == Some(tag),
-                "difference bit must never route a hit to the wrong way"
-            );
-        }
-
-        let result = self.inner.access(addr, kind);
-        if !result.hit {
-            if let Some(ev) = result.evicted {
-                let ev_tag = geom.tag(ev.block);
-                for slot in self.tags[set * 2..set * 2 + 2].iter_mut() {
-                    if *slot == Some(ev_tag) {
-                        *slot = None;
-                    }
-                }
-            }
-            let empty = (0..2)
-                .find(|w| self.tags[set * 2 + w].is_none())
-                .expect("eviction freed a way");
-            self.tags[set * 2 + empty] = Some(tag);
-            self.recompute_diff_bit(set);
-        }
-        result
+        self.inner.access_with(&mut self.decoder, addr, kind)
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Fused kernel: decoder invariant + shared step + tag-shadow and
-        // difference-bit maintenance. Bit-identical to the `access` loop
-        // (the batch-equivalence suite enforces it, events included).
-        let tags = &mut self.tags;
-        let diff_bit = &mut self.diff_bit;
-        let mut updates = 0u64;
-        let (split, _assoc, lines, usage, policy, stats, observer) = self.inner.batch_parts();
-        let mut tally = BatchTally::new();
-        macro_rules! kernel {
-            ($policy:expr) => {{
-                let p = $policy;
-                for &(addr, kind) in accesses {
-                    let set = split.set_index(addr);
-                    let tag = split.tag(addr);
-                    if let (Some(bit), Some(tag0)) = (diff_bit[set], tags[set * 2]) {
-                        let way = usize::from((tag0 >> bit) & 1 != (tag >> bit) & 1);
-                        let selected_tag = tags[set * 2 + way];
-                        let other_tag = tags[set * 2 + (1 - way)];
-                        debug_assert!(
-                            other_tag != Some(tag) || selected_tag == Some(tag),
-                            "difference bit must never route a hit to the wrong way"
-                        );
-                        let _ = (selected_tag, other_tag);
-                    }
-                    let out = step_one::<_, _, 2>(
-                        &split, 2, lines, usage, p, &mut tally, observer, addr, kind,
-                    );
-                    if !out.hit {
-                        if let Some((ev_tag, _)) = out.evicted {
-                            for slot in tags[set * 2..set * 2 + 2].iter_mut() {
-                                if *slot == Some(ev_tag) {
-                                    *slot = None;
-                                }
-                            }
-                        }
-                        let empty = (0..2)
-                            .find(|w| tags[set * 2 + w].is_none())
-                            .expect("eviction freed a way");
-                        tags[set * 2 + empty] = Some(tag);
-                        let (a, b) = (tags[set * 2], tags[set * 2 + 1]);
-                        diff_bit[set] = match (a, b) {
-                            (Some(x), Some(y)) => {
-                                debug_assert_ne!(
-                                    x, y,
-                                    "two ways of a set can never hold equal tags"
-                                );
-                                Some((x ^ y).trailing_zeros())
-                            }
-                            _ => None,
-                        };
-                        updates += 1;
-                    }
-                }
-            }};
-        }
-        if let Some(lru) = policy.as_any_mut().downcast_mut::<Lru>() {
-            kernel!(lru)
-        } else {
-            kernel!(policy.as_mut())
-        }
-        tally.flush(stats);
-        self.diff_bit_updates += updates;
+        self.inner.access_batch_with(&mut self.decoder, accesses)
     }
 
     fn stats(&self) -> &CacheStats {
@@ -239,7 +176,7 @@ impl<O: Observer> CacheModel for DifferenceBitCache<O> {
 
     fn reset_stats(&mut self) {
         self.inner.reset_stats();
-        self.diff_bit_updates = 0;
+        self.decoder.updates = 0;
     }
 
     fn geometry(&self) -> CacheGeometry {
@@ -304,11 +241,11 @@ mod tests {
         let mut c = tiny();
         c.access(Addr::new(5 << 7), AccessKind::Read); // tag 5 = 0b101
         c.access(Addr::new(4 << 7), AccessKind::Read); // tag 4 = 0b100
-        assert_eq!(c.diff_bit[0], Some(0), "5 ^ 4 = 1: bit 0 differs");
+        assert_eq!(c.decoder.diff_bit[0], Some(0), "5 ^ 4 = 1: bit 0 differs");
         // Replace tag 5 (LRU) with tag 6: 6 ^ 4 = 2 -> bit 1.
         c.access(Addr::new(4 << 7), AccessKind::Read);
         c.access(Addr::new(6 << 7), AccessKind::Read);
-        assert_eq!(c.diff_bit[0], Some(1));
+        assert_eq!(c.decoder.diff_bit[0], Some(1));
     }
 
     #[test]
@@ -354,24 +291,6 @@ mod tests {
                 (Addr::new(((x >> 16) % 256) * 32), kind)
             })
             .collect()
-    }
-
-    #[test]
-    fn access_batch_is_bit_identical_to_the_loop() {
-        let mut looped = DifferenceBitCache::new(1024, 32).unwrap();
-        let mut batched = DifferenceBitCache::new(1024, 32).unwrap();
-        let accesses = fuzz_accesses(6_000, 3);
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        assert_eq!(looped.stats(), batched.stats());
-        assert_eq!(looped.tags, batched.tags, "tag shadows");
-        assert_eq!(looped.diff_bit, batched.diff_bit, "difference bits");
-        assert_eq!(
-            looped.diff_bit_updates, batched.diff_bit_updates,
-            "update counters"
-        );
     }
 
     #[test]

@@ -3,10 +3,9 @@
 use telemetry::{Event, MissKind, NullObserver, Observer};
 
 use crate::addr::Addr;
-use crate::geometry::{CacheGeometry, GeometryError};
+use crate::geometry::{CacheGeometry, GeometryError, TagIndexSplit};
 use crate::model::{AccessKind, AccessResult, CacheModel, Eviction};
 use crate::packed;
-use crate::simd;
 use crate::stats::{BatchTally, CacheStats, SetUsage};
 
 /// A direct-mapped, write-back, write-allocate cache.
@@ -121,13 +120,22 @@ impl<O: Observer> DirectMappedCache<O> {
     }
 }
 
-impl<O: Observer> CacheModel for DirectMappedCache<O> {
-    fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let set = self.geom.set_index(addr);
-        let tag = self.geom.tag(addr);
+impl<O: Observer> DirectMappedCache<O> {
+    /// One access. Shared verbatim by both paths, so their statistics,
+    /// set-usage counters and event sequences agree by construction.
+    #[inline(always)]
+    fn step(
+        &mut self,
+        split: &TagIndexSplit,
+        tally: &mut BatchTally,
+        addr: Addr,
+        kind: AccessKind,
+    ) -> AccessResult {
+        let set = split.set_index(addr);
+        let tag = split.tag(addr);
         let word = self.lines[set];
         let hit = packed::matches(word, tag);
-        self.stats.record(kind, hit);
+        tally.record(kind, hit);
         self.usage.record(set, hit);
         if O::ENABLED {
             if !hit {
@@ -150,88 +158,32 @@ impl<O: Observer> CacheModel for DirectMappedCache<O> {
             return AccessResult::hit();
         }
         // Miss: evict the resident block (if any) and fill.
-        let evicted = if packed::is_valid(word) {
-            let block = self.geom.reconstruct(packed::tag(word), set);
-            let dirty = packed::is_dirty(word);
-            if dirty {
-                self.stats.record_writeback();
-            }
-            Some(Eviction { block, dirty })
-        } else {
-            None
-        };
+        tally.record_writeback_if(packed::is_dirty(word));
+        let evicted = packed::is_valid(word).then(|| Eviction {
+            block: self.geom.reconstruct(packed::tag(word), set),
+            dirty: packed::is_dirty(word),
+        });
         self.lines[set] = packed::fill(tag, kind.is_write());
         AccessResult::miss(evicted)
     }
+}
+
+impl<O: Observer> CacheModel for DirectMappedCache<O> {
+    fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
+        let split = self.geom.split();
+        let mut tally = BatchTally::new();
+        let result = self.step(&split, &mut tally, addr, kind);
+        tally.flush(&mut self.stats);
+        result
+    }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Monomorphized replay: precomputed field split, packed lines,
-        // statistics tallied in registers — bit-identical outcome to the
-        // `access` loop above (the batch-equivalence suite enforces it).
-        //
-        // The address decode (set/tag split) is the pure, state-
-        // independent half of an access, so it runs a whole lane group
-        // ahead of the serial hit/miss resolution: eight addresses are
-        // swizzled through `simd::shr_and` per iteration, then resolved
-        // in order against the line array.
+        // Shared-step replay with the field split hoisted and statistics
+        // tallied in registers.
         let split = self.geom.split();
-        let lines = &mut self.lines[..];
-        let usage = &mut self.usage;
-        let observer = &mut self.observer;
         let mut tally = BatchTally::new();
-        let be = simd::backend();
-        let mut raw = [0u64; simd::LANES];
-        let mut sets = [0u64; simd::LANES];
-        let mut tags = [0u64; simd::LANES];
-        for group in accesses.chunks(simd::LANES) {
-            let n = group.len();
-            for (i, &(addr, _)) in group.iter().enumerate() {
-                raw[i] = addr.raw();
-            }
-            simd::shr_and_with(
-                be,
-                &raw[..n],
-                split.index_shift,
-                split.index_mask,
-                &mut sets[..n],
-            );
-            simd::shr_and_with(
-                be,
-                &raw[..n],
-                split.tag_shift,
-                split.tag_mask,
-                &mut tags[..n],
-            );
-            for (i, &(_, kind)) in group.iter().enumerate() {
-                let set = sets[i] as usize;
-                let tag = tags[i];
-                let word = lines[set];
-                let hit = packed::matches(word, tag);
-                tally.record(kind, hit);
-                usage.record(set, hit);
-                if O::ENABLED {
-                    if !hit {
-                        observer.event(Event::Miss {
-                            kind: MissKind::Tag,
-                        });
-                        if packed::is_dirty(word) {
-                            observer.event(Event::Writeback { set: set as u64 });
-                        }
-                    }
-                    observer.event(Event::SetTouch {
-                        set: set as u64,
-                        hit,
-                    });
-                }
-                if hit {
-                    if kind.is_write() {
-                        lines[set] = packed::set_dirty(word);
-                    }
-                } else {
-                    tally.record_writeback_if(packed::is_dirty(word));
-                    lines[set] = packed::fill(tag, kind.is_write());
-                }
-            }
+        for &(addr, kind) in accesses {
+            self.step(&split, &mut tally, addr, kind);
         }
         tally.flush(&mut self.stats);
     }
@@ -369,33 +321,6 @@ mod tests {
             DirectMappedCache::new(16 * 1024, 32).unwrap().label(),
             "16k-dm"
         );
-    }
-
-    #[test]
-    fn access_batch_is_bit_identical_to_the_loop() {
-        let mut looped = DirectMappedCache::new(1024, 32).unwrap();
-        let mut batched = DirectMappedCache::new(1024, 32).unwrap();
-        let mut x = 0x1357_9BDFu64;
-        let accesses: Vec<(Addr, AccessKind)> = (0..5_000)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let kind = if x & 4 == 0 {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                (Addr::new(((x >> 16) % 256) * 32), kind)
-            })
-            .collect();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        assert_eq!(looped.stats(), batched.stats());
-        assert_eq!(looped.usage, batched.usage);
-        assert_eq!(looped.lines, batched.lines, "contents must match too");
     }
 
     #[test]

@@ -25,8 +25,8 @@ use crate::stats::{CacheStats, SetUsage};
 /// [`CacheModel::access_batch`] runs the monomorphized set-associative
 /// kernel (with the subarray-wide CAM search as its way scan — the
 /// 32-entry sweep of the paper's instance is four [`crate::simd`]
-/// AVX2 compare vectors per probe) and is bit-identical to the
-/// per-access path, [`Observer`] events included.
+/// lane groups per probe) and is bit-identical to the per-access
+/// path, [`Observer`] events included.
 ///
 /// # Examples
 ///

@@ -14,9 +14,10 @@ use telemetry::{NullObserver, Observer};
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
-use crate::replacement::{Lru, PolicyKind};
-use crate::set_assoc::{step_one, SetAssociativeCache};
-use crate::stats::{BatchTally, CacheStats, SetUsage};
+use crate::packed;
+use crate::replacement::PolicyKind;
+use crate::set_assoc::{SetAssociativeCache, StepHook};
+use crate::stats::{CacheStats, SetUsage};
 
 /// A 2-way cache with PAD-based way prediction.
 ///
@@ -25,9 +26,9 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// the partial-tag comparison costs one extra cycle
 /// ([`AccessResult::extra_latency`]).
 ///
-/// [`CacheModel::access_batch`] fuses the PAD prediction and the shadow
-/// bookkeeping around the shared set-associative step kernel and is
-/// bit-identical to the per-access path, [`Observer`] events included.
+/// Both access paths run the PAD prediction around the shared
+/// set-associative step kernel, so they are bit-identical,
+/// [`Observer`] events included.
 ///
 /// # Examples
 ///
@@ -42,11 +43,33 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 #[derive(Debug)]
 pub struct PartialMatchCache<O: Observer = NullObserver> {
     inner: SetAssociativeCache<O>,
-    pad_bits: u32,
-    // Shadow of the inner cache's contents: block ids per (set, way),
-    // kept in sync so PAD predictions can be evaluated.
-    shadow: Vec<Option<u64>>,
+    pad: Pad,
+}
+
+/// The partial address directory, run around the inner cache's step:
+/// it reads the low `bits` of every way's stored tag straight from the
+/// packed tag array.
+#[derive(Debug)]
+struct Pad {
+    bits: u32,
     second_cycle_hits: u64,
+}
+
+impl StepHook for Pad {
+    #[inline(always)]
+    fn before(&mut self, _set: usize, ways: &[u64], tag: u64) -> u32 {
+        // PAD prediction: the first way whose partial tag matches. A hit
+        // whose block lives in another way (a partial-tag alias) costs a
+        // corrective cycle.
+        let mask = (1u64 << self.bits) - 1;
+        let predicted = ways
+            .iter()
+            .position(|&w| packed::is_valid(w) && (packed::tag(w) ^ tag) & mask == 0);
+        let actual = ways.iter().position(|&w| packed::matches(w, tag));
+        let second_cycle = actual.is_some() && predicted != actual;
+        self.second_cycle_hits += second_cycle as u64;
+        second_cycle as u32
+    }
 }
 
 impl PartialMatchCache {
@@ -82,12 +105,12 @@ impl<O: Observer> PartialMatchCache<O> {
             0,
             observer,
         )?;
-        let sets = inner.geometry().sets();
         Ok(PartialMatchCache {
             inner,
-            pad_bits,
-            shadow: vec![None; sets * 2],
-            second_cycle_hits: 0,
+            pad: Pad {
+                bits: pad_bits,
+                second_cycle_hits: 0,
+            },
         })
     }
 
@@ -101,13 +124,9 @@ impl<O: Observer> PartialMatchCache<O> {
         self.inner.observer_mut()
     }
 
-    fn partial_tag(&self, tag: u64) -> u64 {
-        tag & ((1u64 << self.pad_bits) - 1)
-    }
-
     /// Hits that needed the second (corrective) cycle.
     pub fn second_cycle_hits(&self) -> u64 {
-        self.second_cycle_hits
+        self.pad.second_cycle_hits
     }
 
     /// Fraction of hits served in the first cycle.
@@ -116,107 +135,18 @@ impl<O: Observer> PartialMatchCache<O> {
         if hits == 0 {
             1.0
         } else {
-            1.0 - self.second_cycle_hits as f64 / hits as f64
+            1.0 - self.pad.second_cycle_hits as f64 / hits as f64
         }
     }
 }
 
 impl<O: Observer> CacheModel for PartialMatchCache<O> {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let geom = self.inner.geometry();
-        let set = geom.set_index(addr);
-        let tag = geom.tag(addr);
-        let id = (tag << geom.index_bits()) | set as u64;
-
-        // PAD prediction: the first way whose partial tag matches.
-        let predicted = (0..2).find(|w| {
-            self.shadow[set * 2 + w]
-                .map(|b| self.partial_tag(b >> geom.index_bits()) == self.partial_tag(tag))
-                .unwrap_or(false)
-        });
-        // Ground truth via the real cache.
-        let actual = (0..2).find(|w| self.shadow[set * 2 + w] == Some(id));
-
-        let mut result = self.inner.access(addr, kind);
-        if result.hit {
-            // Wrong-way prediction (a partial-tag alias in the other way)
-            // costs a corrective cycle.
-            if predicted != actual {
-                self.second_cycle_hits += 1;
-                result.extra_latency = 1;
-            }
-        } else {
-            // Mirror the fill into the shadow directory.
-            if let Some(ev) = result.evicted {
-                let ev_id = ev.block.raw() >> geom.offset_bits();
-                for slot in self.shadow[set * 2..set * 2 + 2].iter_mut() {
-                    if *slot == Some(ev_id) {
-                        *slot = None;
-                    }
-                }
-            }
-            let empty = (0..2)
-                .find(|w| self.shadow[set * 2 + w].is_none())
-                .expect("eviction freed a way");
-            self.shadow[set * 2 + empty] = Some(id);
-        }
-        result
+        self.inner.access_with(&mut self.pad, addr, kind)
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Fused kernel: PAD prediction + shared step + shadow mirror.
-        // Bit-identical to the `access` loop (the batch-equivalence
-        // suite enforces it, events included).
-        let index_bits = self.inner.geometry().index_bits();
-        let pad_mask = (1u64 << self.pad_bits) - 1;
-        let shadow = &mut self.shadow;
-        let mut second_cycle = 0u64;
-        let (split, _assoc, lines, usage, policy, stats, observer) = self.inner.batch_parts();
-        let mut tally = BatchTally::new();
-        macro_rules! kernel {
-            ($policy:expr) => {{
-                let p = $policy;
-                for &(addr, kind) in accesses {
-                    let set = split.set_index(addr);
-                    let tag = split.tag(addr);
-                    let id = (tag << index_bits) | set as u64;
-                    let predicted = (0..2).find(|w| {
-                        shadow[set * 2 + w]
-                            .map(|b| (b >> index_bits) & pad_mask == tag & pad_mask)
-                            .unwrap_or(false)
-                    });
-                    let actual = (0..2).find(|w| shadow[set * 2 + w] == Some(id));
-                    let out = step_one::<_, _, 2>(
-                        &split, 2, lines, usage, p, &mut tally, observer, addr, kind,
-                    );
-                    if out.hit {
-                        if predicted != actual {
-                            second_cycle += 1;
-                        }
-                    } else {
-                        if let Some((ev_tag, _)) = out.evicted {
-                            let ev_id = (ev_tag << index_bits) | set as u64;
-                            for slot in shadow[set * 2..set * 2 + 2].iter_mut() {
-                                if *slot == Some(ev_id) {
-                                    *slot = None;
-                                }
-                            }
-                        }
-                        let empty = (0..2)
-                            .find(|w| shadow[set * 2 + w].is_none())
-                            .expect("eviction freed a way");
-                        shadow[set * 2 + empty] = Some(id);
-                    }
-                }
-            }};
-        }
-        if let Some(lru) = policy.as_any_mut().downcast_mut::<Lru>() {
-            kernel!(lru)
-        } else {
-            kernel!(policy.as_mut())
-        }
-        tally.flush(stats);
-        self.second_cycle_hits += second_cycle;
+        self.inner.access_batch_with(&mut self.pad, accesses)
     }
 
     fn stats(&self) -> &CacheStats {
@@ -225,7 +155,7 @@ impl<O: Observer> CacheModel for PartialMatchCache<O> {
 
     fn reset_stats(&mut self) {
         self.inner.reset_stats();
-        self.second_cycle_hits = 0;
+        self.pad.second_cycle_hits = 0;
     }
 
     fn geometry(&self) -> CacheGeometry {
@@ -240,7 +170,7 @@ impl<O: Observer> CacheModel for PartialMatchCache<O> {
         format!(
             "{}k-pam{}",
             self.geometry().size_bytes() / 1024,
-            self.pad_bits
+            self.pad.bits
         )
     }
 }
@@ -343,23 +273,6 @@ mod tests {
                 (Addr::new(((x >> 16) % 256) * 32), kind)
             })
             .collect()
-    }
-
-    #[test]
-    fn access_batch_is_bit_identical_to_the_loop() {
-        let mut looped = PartialMatchCache::new(1024, 32, 3).unwrap();
-        let mut batched = PartialMatchCache::new(1024, 32, 3).unwrap();
-        let accesses = fuzz_accesses(6_000, 2);
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        assert_eq!(looped.stats(), batched.stats());
-        assert_eq!(looped.shadow, batched.shadow, "shadow directories");
-        assert_eq!(
-            looped.second_cycle_hits, batched.second_cycle_hits,
-            "second-cycle hit counters"
-        );
     }
 
     #[test]

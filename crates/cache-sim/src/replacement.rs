@@ -128,9 +128,8 @@ impl ReplacementPolicy for Lru {
         let base = set * self.assoc;
         // First minimal stamp via the lane-sliced min reduction: the
         // iterator min_by_key compiles to a serial compare chain that
-        // dominates wide-associativity miss paths, while `min_index`
-        // runs four stamps per compare on the AVX2 backend (identical
-        // lowest-index tie-break either way).
+        // dominates wide-associativity miss paths (identical
+        // lowest-index tie-break).
         crate::simd::min_index(&self.stamps[base..base + self.assoc])
     }
 

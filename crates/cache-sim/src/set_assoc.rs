@@ -20,8 +20,8 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// Both access paths run through one shared step function
 /// ([`step_one`]), so per-access and batched replay are bit-identical —
 /// statistics, replacement state, and [`Observer`] events alike. The
-/// wrapper models (way-halting, PAM, difference-bit) fuse their shadow
-/// bookkeeping around the same step via [`SetAssociativeCache::batch_parts`].
+/// wrapper models (way-halting, PAM, difference-bit) run their own
+/// bookkeeping around the same step through a [`StepHook`].
 ///
 /// # Examples
 ///
@@ -245,63 +245,117 @@ impl<O: Observer> SetAssociativeCache<O> {
         &self.lines[set * assoc..(set + 1) * assoc]
     }
 
-    /// Destructures the cache into the pieces the batched kernels need,
-    /// with disjoint borrows so wrapper models can keep their own shadow
-    /// state mutable alongside. The caller drives [`step_one`] and
-    /// flushes the tally into the returned [`CacheStats`].
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn batch_parts(
+    /// One access through [`step_one`] with `hook` around it: the
+    /// per-access path of this cache (`hook = ()`) and of the wrapper
+    /// models.
+    pub(crate) fn access_with<H: StepHook>(
         &mut self,
-    ) -> (
-        TagIndexSplit,
-        usize,
-        &mut [u64],
-        &mut SetUsage,
-        &mut Box<dyn ReplacementPolicy>,
-        &mut CacheStats,
-        &mut O,
-    ) {
-        (
-            self.geom.split(),
+        hook: &mut H,
+        addr: Addr,
+        kind: AccessKind,
+    ) -> AccessResult {
+        let split = self.geom.split();
+        let mut tally = BatchTally::new();
+        let out = step_one::<_, _, _, 0>(
+            &split,
             self.geom.assoc(),
             &mut self.lines,
             &mut self.usage,
-            &mut self.policy,
-            &mut self.stats,
+            self.policy.as_mut(),
+            hook,
+            &mut tally,
             &mut self.observer,
-        )
+            addr,
+            kind,
+        );
+        tally.flush(&mut self.stats);
+        if out.hit {
+            AccessResult::slow_hit(out.extra_latency)
+        } else {
+            AccessResult::miss(out.evicted.map(|(tag, dirty)| Eviction {
+                block: self.geom.reconstruct(tag, out.set),
+                dirty,
+            }))
+        }
+    }
+
+    /// [`step_one`] with `hook` around it over a whole batch: the
+    /// batched path of this cache and of the wrapper models. LRU — the
+    /// paper's default — runs with its stamp updates inlined, other
+    /// policies through dynamic dispatch; the way scans are
+    /// monomorphized for the common associativities.
+    pub(crate) fn access_batch_with<H: StepHook>(
+        &mut self,
+        hook: &mut H,
+        accesses: &[(Addr, AccessKind)],
+    ) {
+        let split = self.geom.split();
+        let assoc = self.geom.assoc();
+        let lines = &mut self.lines[..];
+        let usage = &mut self.usage;
+        let observer = &mut self.observer;
+        let tally = if let Some(lru) = self.policy.as_any_mut().downcast_mut::<Lru>() {
+            replay(&split, assoc, lines, usage, lru, hook, observer, accesses)
+        } else {
+            let policy = self.policy.as_mut();
+            replay(
+                &split, assoc, lines, usage, policy, hook, observer, accesses,
+            )
+        };
+        tally.flush(&mut self.stats);
     }
 }
+
+/// Per-access bookkeeping a wrapper model (PAM, difference-bit,
+/// way-halting) runs around [`step_one`]. Both hooks see the set's
+/// packed words in way order; the defaults do nothing, so the plain
+/// cache passes `()`.
+pub(crate) trait StepHook {
+    /// Runs before the step, on the set as the access finds it, and
+    /// returns the extra latency of a hit.
+    #[inline(always)]
+    fn before(&mut self, _set: usize, _ways: &[u64], _tag: u64) -> u32 {
+        0
+    }
+
+    /// Runs after a miss, on the set as the fill left it.
+    #[inline(always)]
+    fn after_miss(&mut self, _set: usize, _ways: &[u64]) {}
+}
+
+impl StepHook for () {}
 
 /// What [`step_one`] did, in kernel-friendly form: the evicted block is
 /// reported as a raw `(tag, dirty)` pair so hot loops that do not need
 /// the reconstructed address pay nothing for it.
 pub(crate) struct StepOutcome {
     pub(crate) hit: bool,
+    pub(crate) extra_latency: u32,
     pub(crate) set: usize,
     pub(crate) evicted: Option<(u64, bool)>,
 }
 
-/// One access against a destructured set-associative array. Shared by
-/// the per-access path, the batched kernel, and the wrapper models'
-/// fused kernels, so every path is bit-identical by construction —
-/// statistics, replacement state, and [`Observer`] events alike.
+/// One access against a destructured set-associative array, with the
+/// wrapper's `hook` around it. Every path of this cache and of its
+/// wrappers runs through it, so per-access and batched replay are
+/// bit-identical by construction — statistics, replacement state, and
+/// [`Observer`] events alike.
 ///
 /// Generic over the replacement policy so callers can pass either a
 /// concrete [`Lru`] (updates inlined, no virtual dispatch) or the boxed
 /// `dyn` policy, and over the associativity: `A > 0` monomorphizes the
-/// way scans into the fused CAM probe — a [`crate::simd`] compare-mask
-/// over whole lane groups, AVX2 or portable per the process backend
-/// (`A` must equal `assoc`) — while `A == 0` falls back to
-/// runtime-width scans with identical first-match semantics.
+/// way scans into the fused CAM probe (`A` must equal `assoc`), while
+/// `A == 0` falls back to runtime-width scans with identical
+/// first-match semantics.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn step_one<P: ReplacementPolicy + ?Sized, O: Observer, const A: usize>(
+fn step_one<P: ReplacementPolicy + ?Sized, O: Observer, H: StepHook, const A: usize>(
     split: &TagIndexSplit,
     assoc: usize,
     lines: &mut [u64],
     usage: &mut SetUsage,
     policy: &mut P,
+    hook: &mut H,
     tally: &mut BatchTally,
     observer: &mut O,
     addr: Addr,
@@ -312,6 +366,7 @@ pub(crate) fn step_one<P: ReplacementPolicy + ?Sized, O: Observer, const A: usiz
     let tag = split.tag(addr);
     let base = set * assoc;
     let ways = &mut lines[base..base + assoc];
+    let extra_latency = hook.before(set, ways, tag);
     if let Some(way) = cam::find_match::<A>(ways, tag) {
         tally.record(kind, true);
         usage.record(set, true);
@@ -327,6 +382,7 @@ pub(crate) fn step_one<P: ReplacementPolicy + ?Sized, O: Observer, const A: usiz
         }
         return StepOutcome {
             hit: true,
+            extra_latency,
             set,
             evicted: None,
         };
@@ -355,119 +411,50 @@ pub(crate) fn step_one<P: ReplacementPolicy + ?Sized, O: Observer, const A: usiz
     };
     ways[way] = packed::fill(tag, kind.is_write());
     policy.on_fill(set, way);
+    hook.after_miss(set, ways);
     StepOutcome {
         hit: false,
+        extra_latency: 0,
         set,
         evicted,
     }
 }
 
-/// The hot loop of [`SetAssociativeCache::access_batch`]: [`step_one`]
-/// over the whole batch with register-tallied stats, monomorphized per
-/// associativity (`A == 0` is the runtime-width fallback).
+/// [`step_one`] over a whole batch with register-tallied stats,
+/// monomorphized per associativity (`A == 0` is the runtime-width
+/// fallback).
 #[allow(clippy::too_many_arguments)]
-fn replay_batch<P: ReplacementPolicy + ?Sized, O: Observer, const A: usize>(
-    split: TagIndexSplit,
+fn replay<P: ReplacementPolicy + ?Sized, O: Observer, H: StepHook>(
+    split: &TagIndexSplit,
     assoc: usize,
     lines: &mut [u64],
     usage: &mut SetUsage,
     policy: &mut P,
+    hook: &mut H,
     observer: &mut O,
     accesses: &[(Addr, AccessKind)],
 ) -> BatchTally {
     let mut tally = BatchTally::new();
-    for &(addr, kind) in accesses {
-        step_one::<P, O, A>(
-            &split, assoc, lines, usage, policy, &mut tally, observer, addr, kind,
-        );
+    macro_rules! kernel {
+        ($a:literal) => {
+            for &(addr, kind) in accesses {
+                step_one::<P, O, H, $a>(
+                    split, assoc, lines, usage, policy, hook, &mut tally, observer, addr, kind,
+                );
+            }
+        };
     }
+    crate::dispatch_width!(assoc, kernel);
     tally
-}
-
-/// Dispatches a kernel macro over the common associativity widths: the
-/// matched width becomes a const generic (`$kernel!(8)` etc.), anything
-/// else takes the runtime fallback (`$kernel!(0)`).
-macro_rules! dispatch_assoc {
-    ($assoc:expr, $kernel:ident) => {
-        match $assoc {
-            1 => $kernel!(1),
-            2 => $kernel!(2),
-            4 => $kernel!(4),
-            8 => $kernel!(8),
-            16 => $kernel!(16),
-            32 => $kernel!(32),
-            _ => $kernel!(0),
-        }
-    };
 }
 
 impl<O: Observer> CacheModel for SetAssociativeCache<O> {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let split = self.geom.split();
-        let assoc = self.geom.assoc();
-        let mut tally = BatchTally::new();
-        let out = step_one::<_, _, 0>(
-            &split,
-            assoc,
-            &mut self.lines,
-            &mut self.usage,
-            self.policy.as_mut(),
-            &mut tally,
-            &mut self.observer,
-            addr,
-            kind,
-        );
-        tally.flush(&mut self.stats);
-        if out.hit {
-            AccessResult::hit()
-        } else {
-            AccessResult::miss(out.evicted.map(|(tag, dirty)| Eviction {
-                block: self.geom.reconstruct(tag, out.set),
-                dirty,
-            }))
-        }
+        self.access_with(&mut (), addr, kind)
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Monomorphized replay over the packed line array. LRU — the
-        // paper's default — runs the kernel with its stamp updates
-        // inlined; other policies take the same kernel through dynamic
-        // dispatch. Bit-identical to the `access` loop (the
-        // batch-equivalence suite enforces it, events included).
-        let split = self.geom.split();
-        let assoc = self.geom.assoc();
-        let tally = if let Some(lru) = self.policy.as_any_mut().downcast_mut::<Lru>() {
-            macro_rules! kernel {
-                ($a:literal) => {
-                    replay_batch::<_, _, $a>(
-                        split,
-                        assoc,
-                        &mut self.lines,
-                        &mut self.usage,
-                        lru,
-                        &mut self.observer,
-                        accesses,
-                    )
-                };
-            }
-            dispatch_assoc!(assoc, kernel)
-        } else {
-            macro_rules! kernel {
-                ($a:literal) => {
-                    replay_batch::<_, _, $a>(
-                        split,
-                        assoc,
-                        &mut self.lines,
-                        &mut self.usage,
-                        self.policy.as_mut(),
-                        &mut self.observer,
-                        accesses,
-                    )
-                };
-            }
-            dispatch_assoc!(assoc, kernel)
-        };
-        tally.flush(&mut self.stats);
+        self.access_batch_with(&mut (), accesses)
     }
 
     fn stats(&self) -> &CacheStats {
@@ -639,27 +626,6 @@ mod tests {
                 (Addr::new(((x >> 16) % 512) * 32), kind)
             })
             .collect()
-    }
-
-    #[test]
-    fn access_batch_is_bit_identical_to_the_loop() {
-        for policy in [
-            PolicyKind::Lru,
-            PolicyKind::Fifo,
-            PolicyKind::Random,
-            PolicyKind::TreePlru,
-        ] {
-            let mut looped = SetAssociativeCache::new(2048, 32, 4, policy, 99).unwrap();
-            let mut batched = SetAssociativeCache::new(2048, 32, 4, policy, 99).unwrap();
-            let accesses = fuzz_accesses(5_000, 0);
-            for &(addr, kind) in &accesses {
-                looped.access(addr, kind);
-            }
-            batched.access_batch(&accesses);
-            assert_eq!(looped.stats(), batched.stats(), "{policy:?}");
-            assert_eq!(looped.usage, batched.usage, "{policy:?}");
-            assert_eq!(looped.lines, batched.lines, "{policy:?} contents");
-        }
     }
 
     #[test]

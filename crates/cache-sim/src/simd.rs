@@ -1,119 +1,22 @@
-//! Runtime-dispatched SIMD lane operations for the batched replay
-//! kernels.
+//! Lane operations for the replay kernels.
 //!
 //! Every hot probe in the simulator is a data-parallel sweep over a
-//! small `u64` array: the packed tag compare of the direct-mapped and
-//! set-associative arrays, the CAM probes behind [`crate::cam`] (the
-//! victim buffer, AGAC's directory, the HAC subarrays), the B-Cache's
+//! small `u64` array: the packed tag compare of the set-associative
+//! arrays, the CAM probes behind [`crate::cam`] (the victim buffer,
+//! AGAC's directory, the HAC subarrays), the B-Cache's
 //! programmable-decoder entry match in `bcache-core`, and the LRU
 //! stamp scan. This module factors those sweeps into a handful of
-//! *lane operations* — compare-mask, first-set-lane, masked select,
-//! popcount tally, min-index, and a swizzled shift-and-mask used for
-//! address field decode — each with two implementations:
+//! *lane operations* — compare-mask, first-set-lane, popcount tally
+//! and min-index — written as straight-line, branch-free `u64` loops
+//! over lane groups of [`LANES`], the shape the compiler unrolls and
+//! auto-vectorizes on any target.
 //!
-//! * a **portable** pure-`u64` path written as straight-line,
-//!   branch-free loops the scalar backend unrolls (this is exactly the
-//!   code the PR 7 kernels inlined by hand), and
-//! * an **AVX2** path (`core::arch::x86_64`) processing four 64-bit
-//!   lanes per vector, guarded by `is_x86_feature_detected!`.
-//!
-//! Dispatch is decided once per process and cached in an atomic:
-//! [`backend`] returns AVX2 only when the CPU reports it *and* the
-//! `BCACHE_NO_SIMD` environment knob is unset (any value other than
-//! `0` forces the portable path — the CI equivalence matrix runs both
-//! ways). Every operation also has an explicit `*_with(Backend, ...)`
-//! form so tests can compare the two implementations in-process
-//! without touching global state.
-//!
-//! Semantics are identical across backends by construction and
-//! enforced by `harness/tests/simd_equivalence.rs`: first-match,
-//! first-invalid and first-minimum indices, bit-for-bit.
+//! Semantics are first-match, first-invalid and first-minimum indices,
+//! pinned by the unit tests below against plain scalar scans.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Lanes the batched kernels consume per iteration (the u64×8 group:
-/// two AVX2 vectors, or one unrolled portable block).
+/// Lanes per group in the chunked scans ([`first_match`],
+/// [`min_index`]): one early-out test per group of this many words.
 pub const LANES: usize = 8;
-
-/// Which implementation the lane operations run on.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// Pure-`u64` bit-sliced loops; always available.
-    Portable,
-    /// Four 64-bit lanes per `__m256i` vector (x86-64 only).
-    Avx2,
-}
-
-impl Backend {
-    /// Stable lowercase name, used to stamp bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Portable => "portable",
-            Backend::Avx2 => "avx2",
-        }
-    }
-}
-
-/// `0` = undecided, `1` = portable, `2` = AVX2.
-static BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Decides the backend from the environment, uncached: portable when
-/// `BCACHE_NO_SIMD` is set to anything but `0`, otherwise AVX2 when
-/// the CPU reports it.
-pub fn detect() -> Backend {
-    let disabled = std::env::var_os("BCACHE_NO_SIMD").is_some_and(|v| !v.is_empty() && v != *"0");
-    if disabled {
-        return Backend::Portable;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return Backend::Avx2;
-    }
-    Backend::Portable
-}
-
-/// The process-wide backend, decided by [`detect`] on first use and
-/// cached.
-#[inline]
-pub fn backend() -> Backend {
-    match BACKEND.load(Ordering::Relaxed) {
-        1 => Backend::Portable,
-        2 => Backend::Avx2,
-        _ => {
-            let b = detect();
-            force_backend(b);
-            b
-        }
-    }
-}
-
-/// Overrides the cached backend for the rest of the process (or until
-/// the next call). Intended for equivalence tests and benchmarks;
-/// forcing [`Backend::Avx2`] on a CPU without AVX2 is undefined
-/// behavior, so callers must gate on [`detect`].
-pub fn force_backend(b: Backend) {
-    let code = match b {
-        Backend::Portable => 1,
-        Backend::Avx2 => 2,
-    };
-    BACKEND.store(code, Ordering::Relaxed);
-}
-
-/// The backends safe to run on this machine, portable first. Tests
-/// iterate this to cover both dispatch paths where the hardware
-/// allows.
-pub fn available_backends() -> Vec<Backend> {
-    let mut out = vec![Backend::Portable];
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        out.push(Backend::Avx2);
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Lane operations. Each `op(...)` delegates to `op_with(backend(), ...)`;
-// the `_with` form is the testable, explicitly-dispatched entry point.
 
 /// Bit `i` of the result is set iff `(words[i] & and_mask) == needle`.
 ///
@@ -123,19 +26,12 @@ pub fn available_backends() -> Vec<Backend> {
 /// raw-entry compare is `and_mask = !0`. `words.len()` must be ≤ 64.
 #[inline(always)]
 pub fn masked_eq_mask(words: &[u64], and_mask: u64, needle: u64) -> u64 {
-    masked_eq_mask_with(backend(), words, and_mask, needle)
-}
-
-/// [`masked_eq_mask`] on an explicit backend.
-#[inline(always)]
-pub fn masked_eq_mask_with(b: Backend, words: &[u64], and_mask: u64, needle: u64) -> u64 {
     debug_assert!(words.len() <= 64, "lane mask wider than u64");
-    #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
-        return unsafe { avx2::masked_eq_mask(words, and_mask, needle) };
+    let mut m = 0u64;
+    for (i, &w) in words.iter().enumerate() {
+        m |= (((w & and_mask) == needle) as u64) << i;
     }
-    let _ = b;
-    portable::masked_eq_mask(words, and_mask, needle)
+    m
 }
 
 /// One pass, two needles: returns the lane masks of
@@ -145,23 +41,13 @@ pub fn masked_eq_mask_with(b: Backend, words: &[u64], and_mask: u64, needle: u64
 /// both the PI match and the cold-entry (sentinel) compare.
 #[inline(always)]
 pub fn dual_eq_masks(words: &[u64], needle_a: u64, needle_b: u64) -> (u64, u64) {
-    dual_eq_masks_with(backend(), words, needle_a, needle_b)
-}
-
-/// [`dual_eq_masks`] on an explicit backend.
-#[inline(always)]
-pub fn dual_eq_masks_with(b: Backend, words: &[u64], needle_a: u64, needle_b: u64) -> (u64, u64) {
     debug_assert!(words.len() <= 64, "lane mask wider than u64");
-    // Below one vector the scalar compares win (see `first_match_with`).
-    if words.len() < 4 {
-        return portable::dual_eq_masks(words, needle_a, needle_b);
+    let (mut a, mut b) = (0u64, 0u64);
+    for (i, &w) in words.iter().enumerate() {
+        a |= ((w == needle_a) as u64) << i;
+        b |= ((w == needle_b) as u64) << i;
     }
-    #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
-        return unsafe { avx2::dual_eq_masks(words, needle_a, needle_b) };
-    }
-    let _ = b;
-    portable::dual_eq_masks(words, needle_a, needle_b)
+    (a, b)
 }
 
 /// The first set lane of a compare mask, i.e. the CAM's priority
@@ -175,66 +61,35 @@ pub fn first_set_lane(mask: u64) -> Option<usize> {
 /// slice of any length (chunked compare-mask with an early out).
 #[inline(always)]
 pub fn first_match(words: &[u64], and_mask: u64, needle: u64) -> Option<usize> {
-    first_match_with(backend(), words, and_mask, needle)
-}
-
-/// [`first_match`] on an explicit backend.
-#[inline(always)]
-pub fn first_match_with(b: Backend, words: &[u64], and_mask: u64, needle: u64) -> Option<usize> {
     // Tiny widths (direct-mapped, 2-way) go straight to the scalar
-    // compare: a vector setup costs more than the probe itself.
+    // compare.
     if words.len() < 4 {
         return words.iter().position(|&w| (w & and_mask) == needle);
     }
-    #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
-        return unsafe { avx2::first_match(words, and_mask, needle) };
+    // Lane groups of LANES with a per-group early out: the group body
+    // is branch-free, the exit test is one compare per group.
+    let mut base = 0;
+    let mut chunks = words.chunks_exact(LANES);
+    for c in &mut chunks {
+        let m = masked_eq_mask(c, and_mask, needle);
+        if m != 0 {
+            return Some(base + m.trailing_zeros() as usize);
+        }
+        base += LANES;
     }
-    let _ = b;
-    portable::first_match(words, and_mask, needle)
+    let m = masked_eq_mask(chunks.remainder(), and_mask, needle);
+    (m != 0).then(|| base + m.trailing_zeros() as usize)
 }
 
-/// How many words satisfy `(word & and_mask) == needle` (popcount
-/// tally over the compare masks); any slice length.
+/// How many words satisfy `(word & and_mask) == needle`; any slice
+/// length.
 #[inline(always)]
 pub fn count_matching(words: &[u64], and_mask: u64, needle: u64) -> usize {
-    count_matching_with(backend(), words, and_mask, needle)
-}
-
-/// [`count_matching`] on an explicit backend.
-#[inline(always)]
-pub fn count_matching_with(b: Backend, words: &[u64], and_mask: u64, needle: u64) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
-        return unsafe { avx2::count_matching(words, and_mask, needle) };
+    let mut n = 0usize;
+    for &w in words {
+        n += ((w & and_mask) == needle) as usize;
     }
-    let _ = b;
-    portable::count_matching(words, and_mask, needle)
-}
-
-/// Lane-wise select: `out[i] = if mask bit i { on[i] } else { off[i] }`.
-///
-/// The blend primitive of the min-reduction below; exposed because the
-/// interleaved replay kernel and tests use it directly. All three
-/// slices must share a length ≤ 64.
-#[inline(always)]
-pub fn select_lanes(mask: u64, on: &[u64], off: &[u64], out: &mut [u64]) {
-    select_lanes_with(backend(), mask, on, off, out)
-}
-
-/// [`select_lanes`] on an explicit backend.
-#[inline(always)]
-pub fn select_lanes_with(b: Backend, mask: u64, on: &[u64], off: &[u64], out: &mut [u64]) {
-    assert!(
-        on.len() == off.len() && on.len() == out.len() && on.len() <= 64,
-        "select_lanes needs three equal slices of at most 64 lanes"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
-        return unsafe { avx2::select_lanes(mask, on, off, out) };
-    }
-    let _ = b;
-    portable::select_lanes(mask, on, off, out)
+    n
 }
 
 /// Index of the first minimum of `stamps` — exactly the victim LRU's
@@ -242,13 +97,7 @@ pub fn select_lanes_with(b: Backend, mask: u64, on: &[u64], off: &[u64], out: &m
 /// an empty slice.
 #[inline(always)]
 pub fn min_index(stamps: &[u64]) -> usize {
-    min_index_with(backend(), stamps)
-}
-
-/// [`min_index`] on an explicit backend.
-#[inline(always)]
-pub fn min_index_with(b: Backend, stamps: &[u64]) -> usize {
-    // Below one vector the serial compare chain wins.
+    // Below one lane group the serial compare chain wins.
     if stamps.len() < 4 {
         let mut best = 0;
         for (i, &s) in stamps.iter().enumerate().skip(1) {
@@ -258,289 +107,23 @@ pub fn min_index_with(b: Backend, stamps: &[u64]) -> usize {
         }
         return best;
     }
-    #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
-        return unsafe { avx2::min_index(stamps) };
-    }
-    let _ = b;
-    portable::min_index(stamps)
-}
-
-/// Swizzled field decode: `out[i] = (src[i] >> shift) & mask`.
-///
-/// The pure (state-independent) half of an access — splitting a lane
-/// group of addresses into set indices or tags — which the batched
-/// kernels hoist out of the serial hit/miss resolution loop.
-#[inline(always)]
-pub fn shr_and(src: &[u64], shift: u32, mask: u64, out: &mut [u64]) {
-    shr_and_with(backend(), src, shift, mask, out)
-}
-
-/// [`shr_and`] on an explicit backend.
-#[inline(always)]
-pub fn shr_and_with(b: Backend, src: &[u64], shift: u32, mask: u64, out: &mut [u64]) {
-    assert_eq!(src.len(), out.len(), "shr_and needs equal slices");
-    debug_assert!(shift < 64, "shift must stay in range");
-    #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
-        return unsafe { avx2::shr_and(src, shift, mask, out) };
-    }
-    let _ = b;
-    portable::shr_and(src, shift, mask, out)
-}
-
-// ---------------------------------------------------------------------
-// Portable (pure-u64) implementations: bit-sliced loops with no data-
-// dependent branches, the shape LLVM auto-vectorizes on any target.
-
-mod portable {
-    use super::LANES;
-
-    #[inline(always)]
-    pub fn masked_eq_mask(words: &[u64], and_mask: u64, needle: u64) -> u64 {
-        let mut m = 0u64;
-        for (i, &w) in words.iter().enumerate() {
-            m |= (((w & and_mask) == needle) as u64) << i;
-        }
-        m
-    }
-
-    #[inline(always)]
-    pub fn dual_eq_masks(words: &[u64], needle_a: u64, needle_b: u64) -> (u64, u64) {
-        let (mut a, mut b) = (0u64, 0u64);
-        for (i, &w) in words.iter().enumerate() {
-            a |= ((w == needle_a) as u64) << i;
-            b |= ((w == needle_b) as u64) << i;
-        }
-        (a, b)
-    }
-
-    #[inline(always)]
-    pub fn first_match(words: &[u64], and_mask: u64, needle: u64) -> Option<usize> {
-        // Lane groups of LANES with a per-group early out: the group
-        // body is branch-free, the exit test is one compare per group.
-        let mut base = 0;
-        let mut chunks = words.chunks_exact(LANES);
-        for c in &mut chunks {
-            let m = masked_eq_mask(c, and_mask, needle);
-            if m != 0 {
-                return Some(base + m.trailing_zeros() as usize);
-            }
-            base += LANES;
-        }
-        let m = masked_eq_mask(chunks.remainder(), and_mask, needle);
-        (m != 0).then(|| base + m.trailing_zeros() as usize)
-    }
-
-    #[inline(always)]
-    pub fn count_matching(words: &[u64], and_mask: u64, needle: u64) -> usize {
-        let mut n = 0usize;
-        for &w in words {
-            n += ((w & and_mask) == needle) as usize;
-        }
-        n
-    }
-
-    #[inline(always)]
-    pub fn select_lanes(mask: u64, on: &[u64], off: &[u64], out: &mut [u64]) {
-        for i in 0..out.len() {
-            // Branch-free blend: all-ones lane where the mask bit is set.
-            let lane = 0u64.wrapping_sub((mask >> i) & 1);
-            out[i] = (on[i] & lane) | (off[i] & !lane);
+    // Two passes: a lane-sliced running minimum (vectorizable), then
+    // the priority encoder over lanes equal to the global minimum —
+    // which is exactly "first index of the minimum".
+    let mut vmin = [u64::MAX; LANES];
+    let mut chunks = stamps.chunks_exact(LANES);
+    for c in &mut chunks {
+        for i in 0..LANES {
+            vmin[i] = vmin[i].min(c[i]);
         }
     }
-
-    #[inline(always)]
-    pub fn min_index(stamps: &[u64]) -> usize {
-        // Two passes: a lane-sliced running minimum (vectorizable),
-        // then the priority encoder over lanes equal to the global
-        // minimum — which is exactly "first index of the minimum".
-        let mut vmin = [u64::MAX; LANES];
-        let mut chunks = stamps.chunks_exact(LANES);
-        for c in &mut chunks {
-            let mut lt = 0u64;
-            for i in 0..LANES {
-                lt |= ((c[i] < vmin[i]) as u64) << i;
-            }
-            let mut next = [0u64; LANES];
-            select_lanes(lt, c, &vmin, &mut next);
-            vmin = next;
-        }
-        let mut m = u64::MAX;
-        for &s in vmin.iter().chain(chunks.remainder()) {
-            if s < m {
-                m = s;
-            }
-        }
-        first_match(stamps, !0, m).expect("the minimum is present")
-    }
-
-    #[inline(always)]
-    pub fn shr_and(src: &[u64], shift: u32, mask: u64, out: &mut [u64]) {
-        for i in 0..src.len() {
-            out[i] = (src[i] >> shift) & mask;
+    let mut m = u64::MAX;
+    for &s in vmin.iter().chain(chunks.remainder()) {
+        if s < m {
+            m = s;
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// AVX2 implementations: four u64 lanes per __m256i vector, scalar
-// tails. All functions here require the avx2 target feature, which
-// dispatch guarantees via `is_x86_feature_detected!`.
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use std::arch::x86_64::*;
-
-    /// Compare-mask of one vector: bit i of the nibble is lane i's
-    /// `(w & and_mask) == needle`.
-    #[inline(always)]
-    unsafe fn cmp_nibble(v: __m256i, and_mask: __m256i, needle: __m256i) -> u64 {
-        let eq = _mm256_cmpeq_epi64(_mm256_and_si256(v, and_mask), needle);
-        _mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u64 & 0xF
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn masked_eq_mask(words: &[u64], and_mask: u64, needle: u64) -> u64 {
-        let am = _mm256_set1_epi64x(and_mask as i64);
-        let nd = _mm256_set1_epi64x(needle as i64);
-        let mut m = 0u64;
-        let mut lane = 0;
-        let mut chunks = words.chunks_exact(4);
-        for c in &mut chunks {
-            let v = _mm256_loadu_si256(c.as_ptr() as *const __m256i);
-            m |= cmp_nibble(v, am, nd) << lane;
-            lane += 4;
-        }
-        for (i, &w) in chunks.remainder().iter().enumerate() {
-            m |= (((w & and_mask) == needle) as u64) << (lane + i);
-        }
-        m
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dual_eq_masks(words: &[u64], needle_a: u64, needle_b: u64) -> (u64, u64) {
-        let all = _mm256_set1_epi64x(-1);
-        let na = _mm256_set1_epi64x(needle_a as i64);
-        let nb = _mm256_set1_epi64x(needle_b as i64);
-        let (mut a, mut b) = (0u64, 0u64);
-        let mut lane = 0;
-        let mut chunks = words.chunks_exact(4);
-        for c in &mut chunks {
-            let v = _mm256_loadu_si256(c.as_ptr() as *const __m256i);
-            a |= cmp_nibble(v, all, na) << lane;
-            b |= cmp_nibble(v, all, nb) << lane;
-            lane += 4;
-        }
-        for (i, &w) in chunks.remainder().iter().enumerate() {
-            a |= ((w == needle_a) as u64) << (lane + i);
-            b |= ((w == needle_b) as u64) << (lane + i);
-        }
-        (a, b)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn first_match(words: &[u64], and_mask: u64, needle: u64) -> Option<usize> {
-        let am = _mm256_set1_epi64x(and_mask as i64);
-        let nd = _mm256_set1_epi64x(needle as i64);
-        let mut base = 0;
-        let mut chunks = words.chunks_exact(4);
-        for c in &mut chunks {
-            let v = _mm256_loadu_si256(c.as_ptr() as *const __m256i);
-            let m = cmp_nibble(v, am, nd);
-            if m != 0 {
-                return Some(base + m.trailing_zeros() as usize);
-            }
-            base += 4;
-        }
-        chunks
-            .remainder()
-            .iter()
-            .position(|&w| (w & and_mask) == needle)
-            .map(|i| base + i)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_matching(words: &[u64], and_mask: u64, needle: u64) -> usize {
-        let am = _mm256_set1_epi64x(and_mask as i64);
-        let nd = _mm256_set1_epi64x(needle as i64);
-        let mut n = 0usize;
-        let mut chunks = words.chunks_exact(4);
-        for c in &mut chunks {
-            let v = _mm256_loadu_si256(c.as_ptr() as *const __m256i);
-            n += cmp_nibble(v, am, nd).count_ones() as usize;
-        }
-        for &w in chunks.remainder() {
-            n += ((w & and_mask) == needle) as usize;
-        }
-        n
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn select_lanes(mask: u64, on: &[u64], off: &[u64], out: &mut [u64]) {
-        // Lane i of the select mask is all-ones iff nibble bit i is
-        // set: broadcast the nibble, AND with each lane's bit, compare.
-        let lane_bits = _mm256_set_epi64x(8, 4, 2, 1);
-        let mut i = 0;
-        while i + 4 <= out.len() {
-            let nib = _mm256_set1_epi64x(((mask >> i) & 0xF) as i64);
-            let sel = _mm256_cmpeq_epi64(_mm256_and_si256(nib, lane_bits), lane_bits);
-            let a = _mm256_loadu_si256(on.as_ptr().add(i) as *const __m256i);
-            let b = _mm256_loadu_si256(off.as_ptr().add(i) as *const __m256i);
-            let r = _mm256_blendv_epi8(b, a, sel);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, r);
-            i += 4;
-        }
-        while i < out.len() {
-            out[i] = if (mask >> i) & 1 != 0 { on[i] } else { off[i] };
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn min_index(stamps: &[u64]) -> usize {
-        // AVX2 has no unsigned 64-bit min, so compare in the sign-
-        // biased domain (x ^ 1<<63 makes unsigned order signed) and
-        // blend, then resolve the first lane equal to the global min.
-        let bias = _mm256_set1_epi64x(i64::MIN);
-        let mut vmin = _mm256_set1_epi64x(-1);
-        let mut chunks = stamps.chunks_exact(4);
-        for c in &mut chunks {
-            let v = _mm256_loadu_si256(c.as_ptr() as *const __m256i);
-            let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(vmin, bias), _mm256_xor_si256(v, bias));
-            vmin = _mm256_blendv_epi8(vmin, v, gt);
-        }
-        let lanes = [
-            _mm256_extract_epi64::<0>(vmin) as u64,
-            _mm256_extract_epi64::<1>(vmin) as u64,
-            _mm256_extract_epi64::<2>(vmin) as u64,
-            _mm256_extract_epi64::<3>(vmin) as u64,
-        ];
-        let mut m = u64::MAX;
-        for &s in lanes.iter().chain(chunks.remainder()) {
-            if s < m {
-                m = s;
-            }
-        }
-        first_match(stamps, !0, m).expect("the minimum is present")
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn shr_and(src: &[u64], shift: u32, mask: u64, out: &mut [u64]) {
-        let cnt = _mm_cvtsi64_si128(shift as i64);
-        let am = _mm256_set1_epi64x(mask as i64);
-        let mut i = 0;
-        while i + 4 <= src.len() {
-            let v = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-            let r = _mm256_and_si256(_mm256_srl_epi64(v, cnt), am);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, r);
-            i += 4;
-        }
-        while i < src.len() {
-            out[i] = (src[i] >> shift) & mask;
-            i += 1;
-        }
-    }
+    first_match(stamps, !0, m).expect("the minimum is present")
 }
 
 #[cfg(test)]
@@ -565,42 +148,10 @@ mod tests {
         (0..len).map(|_| next() % 8).collect()
     }
 
+    /// Every lane operation against a straight scalar reference, across
+    /// lengths that exercise both the lane-group body and the tails.
     #[test]
-    fn detect_honors_the_env_knob() {
-        // `detect` is uncached, so the knob can be probed directly.
-        let saved = std::env::var_os("BCACHE_NO_SIMD");
-        std::env::set_var("BCACHE_NO_SIMD", "1");
-        assert_eq!(detect(), Backend::Portable);
-        std::env::set_var("BCACHE_NO_SIMD", "0");
-        let unset_result = detect();
-        std::env::remove_var("BCACHE_NO_SIMD");
-        assert_eq!(detect(), unset_result, "0 must mean 'not disabled'");
-        if let Some(v) = saved {
-            std::env::set_var("BCACHE_NO_SIMD", v);
-        }
-    }
-
-    #[test]
-    fn available_backends_lists_portable_first() {
-        let b = available_backends();
-        assert_eq!(b[0], Backend::Portable);
-        assert!(b.len() <= 2);
-    }
-
-    #[test]
-    fn backend_cache_round_trips_forced_values() {
-        let prior = backend();
-        force_backend(Backend::Portable);
-        assert_eq!(backend(), Backend::Portable);
-        force_backend(prior);
-        assert_eq!(backend(), prior);
-    }
-
-    /// Every lane operation, portable vs AVX2 (when available) vs a
-    /// straight scalar reference, across lengths that exercise both
-    /// the vector body and the tails.
-    #[test]
-    fn backends_agree_on_every_op_and_length() {
+    fn lane_ops_agree_with_scalar_scans_at_every_length() {
         for len in 0..=33 {
             for seed in 0..4u64 {
                 let words = words_of(len, seed * 977 + len as u64);
@@ -615,72 +166,31 @@ mod tests {
                     let reference_first = words.iter().position(|&w| (w & and_mask) == needle);
                     let reference_count =
                         words.iter().filter(|&&w| (w & and_mask) == needle).count();
-                    for b in available_backends() {
-                        assert_eq!(
-                            masked_eq_mask_with(b, &words, and_mask, needle),
-                            reference_mask,
-                            "masked_eq_mask {b:?} len {len}"
-                        );
-                        assert_eq!(
-                            first_match_with(b, &words, and_mask, needle),
-                            reference_first,
-                            "first_match {b:?} len {len}"
-                        );
-                        assert_eq!(
-                            count_matching_with(b, &words, and_mask, needle),
-                            reference_count,
-                            "count_matching {b:?} len {len}"
-                        );
-                    }
+                    let ctx = format!("len {len} mask {and_mask:#x} needle {needle}");
+                    assert_eq!(
+                        masked_eq_mask(&words, and_mask, needle),
+                        reference_mask,
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        first_match(&words, and_mask, needle),
+                        reference_first,
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        count_matching(&words, and_mask, needle),
+                        reference_count,
+                        "{ctx}"
+                    );
                 }
                 // dual_eq_masks ≡ two single-needle masks.
-                for b in available_backends() {
-                    let (a, c) = dual_eq_masks_with(b, &words, 3, u64::MAX);
-                    assert_eq!(a, masked_eq_mask_with(b, &words, !0, 3), "{b:?}");
-                    assert_eq!(c, masked_eq_mask_with(b, &words, !0, u64::MAX), "{b:?}");
-                }
+                let (a, c) = dual_eq_masks(&words, 3, u64::MAX);
+                assert_eq!(a, masked_eq_mask(&words, !0, 3));
+                assert_eq!(c, masked_eq_mask(&words, !0, u64::MAX));
                 // min_index ≡ the first-minimum scan.
-                if !words.is_empty() {
-                    let reference_min = words
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, s)| *s)
-                        .map(|(i, _)| i)
-                        .unwrap();
-                    for b in available_backends() {
-                        assert_eq!(
-                            min_index_with(b, &words),
-                            reference_min,
-                            "min_index {b:?} len {len} {words:?}"
-                        );
-                    }
-                }
-                // select_lanes and shr_and against the scalar law.
-                let mut next = rng(seed + 1000);
-                let mask = next();
-                let off = words_of(len.min(64), seed + 7);
-                if words.len() <= 64 {
-                    for b in available_backends() {
-                        let mut out = vec![0u64; len];
-                        select_lanes_with(b, mask, &words, &off, &mut out);
-                        for i in 0..len {
-                            let want = if (mask >> i) & 1 != 0 {
-                                words[i]
-                            } else {
-                                off[i]
-                            };
-                            assert_eq!(out[i], want, "select {b:?} lane {i}");
-                        }
-                    }
-                }
-                for shift in [0u32, 5, 31, 63] {
-                    for b in available_backends() {
-                        let mut out = vec![0u64; len];
-                        shr_and_with(b, &words, shift, 0x3FF, &mut out);
-                        for i in 0..len {
-                            assert_eq!(out[i], (words[i] >> shift) & 0x3FF, "{b:?}");
-                        }
-                    }
+                if let Some((reference_min, _)) = words.iter().enumerate().min_by_key(|&(_, s)| *s)
+                {
+                    assert_eq!(min_index(&words), reference_min, "len {len} {words:?}");
                 }
             }
         }
@@ -688,21 +198,19 @@ mod tests {
 
     #[test]
     fn min_index_breaks_ties_to_the_lowest_lane() {
-        for b in available_backends() {
-            assert_eq!(min_index_with(b, &[5, 2, 2, 9]), 1, "{b:?}");
-            assert_eq!(min_index_with(b, &[0; 32]), 0, "{b:?}");
-            assert_eq!(min_index_with(b, &[3]), 0, "{b:?}");
-            assert_eq!(min_index_with(b, &[]), 0, "{b:?}");
-            // The tie at a lane-group boundary: lanes 3 and 4 equal.
-            let mut s = vec![9u64; 11];
-            s[3] = 1;
-            s[4] = 1;
-            assert_eq!(min_index_with(b, &s), 3, "{b:?}");
-            // Minimum only in the scalar tail.
-            let mut t = vec![7u64; 9];
-            t[8] = 0;
-            assert_eq!(min_index_with(b, &t), 8, "{b:?}");
-        }
+        assert_eq!(min_index(&[5, 2, 2, 9]), 1);
+        assert_eq!(min_index(&[0; 32]), 0);
+        assert_eq!(min_index(&[3]), 0);
+        assert_eq!(min_index(&[]), 0);
+        // The tie at a lane-group boundary: lanes 3 and 4 equal.
+        let mut s = vec![9u64; 11];
+        s[3] = 1;
+        s[4] = 1;
+        assert_eq!(min_index(&s), 3);
+        // Minimum only in the scalar tail.
+        let mut t = vec![7u64; 9];
+        t[8] = 0;
+        assert_eq!(min_index(&t), 8);
     }
 
     #[test]

@@ -427,22 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn access_batch_is_bit_identical_to_the_loop() {
-        let mut looped = SkewedAssociativeCache::new(1024, 32).unwrap();
-        let mut batched = SkewedAssociativeCache::new(1024, 32).unwrap();
-        let accesses = fuzz_accesses(6_000, 5);
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        assert_eq!(looped.stats(), batched.stats());
-        assert_eq!(looped.usage, batched.usage, "usage counters");
-        assert_eq!(looped.words, batched.words, "packed line words");
-        assert_eq!(looped.stamps, batched.stamps, "timestamps");
-        assert_eq!(looped.clock, batched.clock, "clocks");
-    }
-
-    #[test]
     fn observer_sees_identical_events_from_loop_and_batch() {
         use telemetry::EventRing;
         let accesses = fuzz_accesses(5_000, 47);

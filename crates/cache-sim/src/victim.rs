@@ -22,8 +22,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// (`tag|dirty|valid` words plus LRU stamps for the buffer), and
 /// [`CacheModel::access_batch`] replays through a kernel monomorphized
 /// on the buffer width, so the 16-entry FA search runs as one
-/// [`crate::simd`] compare-mask probe per lane group (AVX2 when the
-/// CPU has it, the unrolled portable loop otherwise) — the same CAM
+/// [`crate::simd`] compare-mask probe per lane group — the same CAM
 /// primitive the B-Cache kernel uses. The per-access and
 /// batched paths share one step function and are bit-identical,
 /// including the [`Observer`] event sequence.
@@ -286,24 +285,6 @@ fn step<O: Observer, const N: usize>(
     AccessResult::miss(evicted)
 }
 
-/// Expands to a `match` dispatching `$entries` to a monomorphized
-/// invocation of `$kernel!(N)` for the buffer widths worth specializing
-/// (powers of two up to 32; the paper evaluates 16). `0` selects the
-/// runtime-width fallback.
-macro_rules! dispatch_entries {
-    ($entries:expr, $kernel:ident) => {
-        match $entries {
-            1 => $kernel!(1),
-            2 => $kernel!(2),
-            4 => $kernel!(4),
-            8 => $kernel!(8),
-            16 => $kernel!(16),
-            32 => $kernel!(32),
-            _ => $kernel!(0),
-        }
-    };
-}
-
 impl<O: Observer> CacheModel for VictimCache<O> {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         let split = self.geom.split();
@@ -333,7 +314,7 @@ impl<O: Observer> CacheModel for VictimCache<O> {
                 )
             };
         }
-        let result = dispatch_entries!(self.buf_words.len(), kernel);
+        let result = crate::dispatch_width!(self.buf_words.len(), kernel);
         tally.flush(&mut self.stats);
         self.buffer_hits += hits;
         self.buffer_probes += probes;
@@ -374,7 +355,7 @@ impl<O: Observer> CacheModel for VictimCache<O> {
                 }
             };
         }
-        dispatch_entries!(self.buf_words.len(), kernel);
+        crate::dispatch_width!(self.buf_words.len(), kernel);
         tally.flush(&mut self.stats);
         self.buffer_hits += hits;
         self.buffer_probes += probes;
@@ -561,37 +542,6 @@ mod tests {
                 (Addr::new(((x >> 16) % 1024) * 32), kind)
             })
             .collect()
-    }
-
-    #[test]
-    fn access_batch_is_bit_identical_to_the_loop() {
-        // Covers a monomorphized width (4) and the runtime fallback is
-        // exercised indirectly by min_stamp/find_match tests in `cam`.
-        for entries in [1usize, 2, 4, 16] {
-            let mut looped = VictimCache::new(512, 32, entries).unwrap();
-            let mut batched = VictimCache::new(512, 32, entries).unwrap();
-            let accesses = fuzz_accesses(8_000, entries as u64);
-            for &(addr, kind) in &accesses {
-                looped.access(addr, kind);
-            }
-            batched.access_batch(&accesses);
-            assert_eq!(looped.stats(), batched.stats(), "victim{entries}");
-            assert_eq!(looped.usage, batched.usage, "victim{entries} usage");
-            assert_eq!(looped.lines, batched.lines, "victim{entries} main array");
-            assert_eq!(
-                looped.buf_words, batched.buf_words,
-                "victim{entries} buffer"
-            );
-            assert_eq!(
-                looped.buf_stamps, batched.buf_stamps,
-                "victim{entries} LRU stamps"
-            );
-            assert_eq!(
-                (looped.buffer_hits, looped.buffer_probes),
-                (batched.buffer_hits, batched.buffer_probes),
-                "victim{entries} side counters"
-            );
-        }
     }
 
     #[test]

@@ -15,9 +15,9 @@ use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
 use crate::packed;
-use crate::replacement::{Lru, PolicyKind};
-use crate::set_assoc::{step_one, SetAssociativeCache};
-use crate::stats::{BatchTally, CacheStats, SetUsage};
+use crate::replacement::PolicyKind;
+use crate::set_assoc::{SetAssociativeCache, StepHook};
+use crate::stats::{CacheStats, SetUsage};
 
 /// A set-associative cache with way halting.
 ///
@@ -25,9 +25,8 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// the energy-relevant statistic: how many way accesses the halt tags
 /// suppressed ([`WayHaltingCache::halted_fraction`]).
 ///
-/// [`CacheModel::access_batch`] fuses the halt-tag pre-scan and the
-/// shadow-directory bookkeeping around the shared set-associative step
-/// kernel, so the batched path is bit-identical to the per-access one —
+/// Both access paths run the halt-tag pre-scan ahead of the shared
+/// set-associative step kernel, so they are bit-identical —
 /// statistics, halt counters, and [`Observer`] events alike.
 ///
 /// # Examples
@@ -44,9 +43,31 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 #[derive(Debug)]
 pub struct WayHaltingCache<O: Observer = NullObserver> {
     inner: SetAssociativeCache<O>,
-    halt_bits: u32,
+    halt: HaltTags,
+}
+
+/// The halt-tag array, run ahead of the inner cache's step. The halt
+/// decision needs exactly what the packed tag array already holds: a
+/// way halts when it is empty or its stored tag's low `bits` mismatch
+/// the incoming address's.
+#[derive(Debug)]
+struct HaltTags {
+    bits: u32,
     ways_examined: u64,
     ways_halted: u64,
+}
+
+impl StepHook for HaltTags {
+    #[inline(always)]
+    fn before(&mut self, _set: usize, ways: &[u64], tag: u64) -> u32 {
+        let mask = (1u64 << self.bits) - 1;
+        for &w in ways {
+            let halted = !packed::is_valid(w) || (packed::tag(w) ^ tag) & mask != 0;
+            self.ways_halted += halted as u64;
+        }
+        self.ways_examined += ways.len() as u64;
+        0
+    }
 }
 
 impl WayHaltingCache {
@@ -90,9 +111,11 @@ impl<O: Observer> WayHaltingCache<O> {
         )?;
         Ok(WayHaltingCache {
             inner,
-            halt_bits,
-            ways_examined: 0,
-            ways_halted: 0,
+            halt: HaltTags {
+                bits: halt_bits,
+                ways_examined: 0,
+                ways_halted: 0,
+            },
         })
     }
 
@@ -109,77 +132,26 @@ impl<O: Observer> WayHaltingCache<O> {
     /// Fraction of way lookups suppressed by the halt tags; the original
     /// paper reports 50–90% of ways halted on average.
     pub fn halted_fraction(&self) -> f64 {
-        if self.ways_examined == 0 {
+        if self.halt.ways_examined == 0 {
             0.0
         } else {
-            self.ways_halted as f64 / self.ways_examined as f64
+            self.halt.ways_halted as f64 / self.halt.ways_examined as f64
         }
     }
 
     /// Ways whose full lookup was suppressed.
     pub fn ways_halted(&self) -> u64 {
-        self.ways_halted
+        self.halt.ways_halted
     }
 }
 
 impl<O: Observer> CacheModel for WayHaltingCache<O> {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        // The halt decision needs exactly what the packed tag array
-        // already holds: a way halts when it is empty or its stored
-        // tag's low bits mismatch the incoming address's.
-        let geom = self.inner.geometry();
-        let set = geom.set_index(addr);
-        let tag = geom.tag(addr);
-        let halt_mask = (1u64 << self.halt_bits) - 1;
-        for &w in self.inner.set_words(set) {
-            self.ways_examined += 1;
-            let halted = !packed::is_valid(w) || (packed::tag(w) ^ tag) & halt_mask != 0;
-            self.ways_halted += halted as u64;
-        }
-        self.inner.access(addr, kind)
+        self.inner.access_with(&mut self.halt, addr, kind)
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Fused kernel: halt-tag pre-scan over the packed words + shared
-        // step, with register-tallied stats, the inner LRU devirtualized,
-        // and the way scans monomorphized for the common associativities.
-        // Bit-identical to the `access` loop (the batch-equivalence
-        // suite enforces it, events included).
-        let halt_mask = (1u64 << self.halt_bits) - 1;
-        let (mut examined, mut halted_n) = (0u64, 0u64);
-        let (split, assoc, lines, usage, policy, stats, observer) = self.inner.batch_parts();
-        let mut tally = BatchTally::new();
-        macro_rules! kernel {
-            ($policy:expr, $a:literal) => {{
-                let p = $policy;
-                for &(addr, kind) in accesses {
-                    let set = split.set_index(addr);
-                    let tag = split.tag(addr);
-                    for &w in &lines[set * assoc..(set + 1) * assoc] {
-                        let halted =
-                            !packed::is_valid(w) || (packed::tag(w) ^ tag) & halt_mask != 0;
-                        halted_n += halted as u64;
-                    }
-                    examined += assoc as u64;
-                    step_one::<_, _, $a>(
-                        &split, assoc, lines, usage, p, &mut tally, observer, addr, kind,
-                    );
-                }
-            }};
-        }
-        if let Some(lru) = policy.as_any_mut().downcast_mut::<Lru>() {
-            match assoc {
-                2 => kernel!(lru, 2),
-                4 => kernel!(lru, 4),
-                8 => kernel!(lru, 8),
-                _ => kernel!(lru, 0),
-            }
-        } else {
-            kernel!(policy.as_mut(), 0)
-        }
-        tally.flush(stats);
-        self.ways_examined += examined;
-        self.ways_halted += halted_n;
+        self.inner.access_batch_with(&mut self.halt, accesses)
     }
 
     fn stats(&self) -> &CacheStats {
@@ -188,8 +160,8 @@ impl<O: Observer> CacheModel for WayHaltingCache<O> {
 
     fn reset_stats(&mut self) {
         self.inner.reset_stats();
-        self.ways_examined = 0;
-        self.ways_halted = 0;
+        self.halt.ways_examined = 0;
+        self.halt.ways_halted = 0;
     }
 
     fn geometry(&self) -> CacheGeometry {
@@ -205,7 +177,7 @@ impl<O: Observer> CacheModel for WayHaltingCache<O> {
             "{}k{}way-halt{}",
             self.geometry().size_bytes() / 1024,
             self.geometry().assoc(),
-            self.halt_bits
+            self.halt.bits
         )
     }
 }
@@ -302,23 +274,6 @@ mod tests {
                 (Addr::new(((x >> 16) % 512) * 32), kind)
             })
             .collect()
-    }
-
-    #[test]
-    fn access_batch_is_bit_identical_to_the_loop() {
-        let mut looped = WayHaltingCache::new(2048, 32, 4, 4).unwrap();
-        let mut batched = WayHaltingCache::new(2048, 32, 4, 4).unwrap();
-        let accesses = fuzz_accesses(6_000, 1);
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        assert_eq!(looped.stats(), batched.stats());
-        assert_eq!(
-            (looped.ways_examined, looped.ways_halted),
-            (batched.ways_examined, batched.ways_halted),
-            "halt counters"
-        );
     }
 
     #[test]

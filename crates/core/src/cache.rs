@@ -8,7 +8,7 @@ use cache_sim::{
 use telemetry::{Event, MissKind, NullObserver, Observer};
 
 use crate::decoder::ProgrammableDecoder;
-use crate::params::{BCacheParams, IndexLayout};
+use crate::params::{BCacheParams, IndexLayout, PdHitPolicy};
 
 /// Statistics specific to the programmable decoders.
 ///
@@ -66,6 +66,15 @@ impl PdStats {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct BalancedCache<O: Observer = NullObserver> {
+    st: State<O>,
+    policy: Box<dyn ReplacementPolicy>,
+}
+
+/// Everything of a B-Cache but its replacement policy, which the
+/// access step borrows separately so the batch path can run it
+/// downcast to [`Lru`].
+#[derive(Debug)]
+struct State<O> {
     params: BCacheParams,
     layout: IndexLayout,
     pd: ProgrammableDecoder,
@@ -73,7 +82,6 @@ pub struct BalancedCache<O: Observer = NullObserver> {
     // identifier (addr >> offset_bits) in the tag field plus the
     // dirty/valid flags.
     lines: Vec<u64>,
-    policy: Box<dyn ReplacementPolicy>,
     stats: CacheStats,
     usage: SetUsage,
     pd_stats: PdStats,
@@ -99,48 +107,89 @@ impl<O: Observer> BalancedCache<O> {
             "block id of {g} does not fit a packed line word"
         );
         BalancedCache {
-            params,
-            layout,
-            pd: ProgrammableDecoder::new(&layout, bas),
-            lines: vec![packed::EMPTY; groups * bas],
+            st: State {
+                params,
+                layout,
+                pd: ProgrammableDecoder::new(&layout, bas),
+                lines: vec![packed::EMPTY; groups * bas],
+                stats: CacheStats::new(),
+                usage: SetUsage::new(groups * bas),
+                pd_stats: PdStats::default(),
+                observer,
+            },
             policy: make_policy(params.policy(), groups, bas, params.seed()),
-            stats: CacheStats::new(),
-            usage: SetUsage::new(groups * bas),
-            pd_stats: PdStats::default(),
-            observer,
         }
     }
 
     /// The attached observer.
     pub fn observer(&self) -> &O {
-        &self.observer
+        &self.st.observer
     }
 
     /// The attached observer, mutably.
     pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
+        &mut self.st.observer
     }
 
     /// The configuration.
     pub fn params(&self) -> &BCacheParams {
-        &self.params
+        &self.st.params
     }
 
     /// The derived index layout.
     pub fn layout(&self) -> &IndexLayout {
-        &self.layout
+        &self.st.layout
     }
 
     /// Programmable-decoder statistics.
     pub fn pd_stats(&self) -> PdStats {
-        self.pd_stats
+        self.st.pd_stats
     }
 
     /// The decoder state (read-only; used by tests and diagnostics).
     pub fn decoder(&self) -> &ProgrammableDecoder {
-        &self.pd
+        &self.st.pd
     }
 
+    /// Returns `true` if the block containing `addr` is resident, without
+    /// touching statistics or replacement state.
+    pub fn probe(&self, addr: Addr) -> bool {
+        let st = &self.st;
+        let group = st.layout.npi(addr);
+        let pi = st.layout.pi(addr);
+        match st.pd.probe_any(group, pi).0 {
+            Some(way) => packed::matches(st.lines[st.slot(group, way)], st.block_id(addr)),
+            None => false,
+        }
+    }
+
+    /// Checks every internal invariant; linear in the cache size.
+    ///
+    /// * unique decoding within every group;
+    /// * a valid PD entry if and only if a valid block, and the stored
+    ///   block's PI/NPI fields agree with its slot.
+    pub fn invariants_hold(&self) -> bool {
+        let st = &self.st;
+        if !st.pd.invariant_holds() {
+            return false;
+        }
+        (0..st.layout.groups()).all(|g| {
+            (0..st.params.bas()).all(|w| {
+                let word = st.lines[st.slot(g, w)];
+                match (st.pd.entry(g, w), packed::is_valid(word)) {
+                    (None, false) => true,
+                    (Some(pi), true) => {
+                        let block = st.block_addr(packed::tag(word));
+                        st.layout.npi(block) == g && st.layout.pi(block) == pi
+                    }
+                    _ => false,
+                }
+            })
+        })
+    }
+}
+
+impl<O: Observer> State<O> {
     fn block_id(&self, addr: Addr) -> u64 {
         addr.raw() >> self.params.geometry().offset_bits()
     }
@@ -159,43 +208,15 @@ impl<O: Observer> BalancedCache<O> {
         way * self.layout.groups() + group
     }
 
-    /// Returns `true` if the block containing `addr` is resident, without
-    /// touching statistics or replacement state.
-    pub fn probe(&self, addr: Addr) -> bool {
-        let group = self.layout.npi(addr);
-        let pi = self.layout.pi(addr);
-        match self.pd.lookup(group, pi) {
-            Some(way) => packed::matches(self.lines[self.slot(group, way)], self.block_id(addr)),
-            None => false,
-        }
-    }
-
-    /// Checks every internal invariant; linear in the cache size.
-    ///
-    /// * unique decoding within every group;
-    /// * a valid PD entry if and only if a valid block, and the stored
-    ///   block's PI/NPI fields agree with its slot.
-    pub fn invariants_hold(&self) -> bool {
-        if !self.pd.invariant_holds() {
-            return false;
-        }
-        (0..self.layout.groups()).all(|g| {
-            (0..self.params.bas()).all(|w| {
-                let word = self.lines[self.slot(g, w)];
-                match (self.pd.entry(g, w), packed::is_valid(word)) {
-                    (None, false) => true,
-                    (Some(pi), true) => {
-                        let block = self.block_addr(packed::tag(word));
-                        self.layout.npi(block) == g && self.layout.pi(block) == pi
-                    }
-                    _ => false,
-                }
-            })
-        })
-    }
-
-    fn fill(&mut self, group: usize, way: usize, id: u64, dirty: bool) {
-        let s = self.slot(group, way);
+    #[inline(always)]
+    fn fill<P: ReplacementPolicy + ?Sized>(
+        &mut self,
+        policy: &mut P,
+        group: usize,
+        way: usize,
+        id: u64,
+        dirty: bool,
+    ) {
         // Every fill happens after the PD entry is in place (ForcedVictim
         // reuses the matching entry; the other paths program first), so
         // the filled block must decode back to exactly this slot.
@@ -209,385 +230,224 @@ impl<O: Observer> BalancedCache<O> {
             Some(self.layout.pi(self.block_addr(id))),
             "filled block is not decodable by its PD entry"
         );
+        let s = self.slot(group, way);
         self.lines[s] = packed::fill(id, dirty);
-        self.policy.on_fill(group, way);
+        policy.on_fill(group, way);
     }
 
-    fn evict(&mut self, group: usize, way: usize) -> Option<Eviction> {
+    #[inline(always)]
+    fn evict(&mut self, tally: &mut BatchTally, group: usize, way: usize) -> Option<Eviction> {
         let s = self.slot(group, way);
         let word = self.lines[s];
         if !packed::is_valid(word) {
             return None;
         }
-        let ev = Eviction {
+        tally.record_writeback_if(packed::is_dirty(word));
+        self.lines[s] = packed::EMPTY;
+        Some(Eviction {
             block: self.block_addr(packed::tag(word)),
             dirty: packed::is_dirty(word),
-        };
-        if ev.dirty {
-            self.stats.record_writeback();
-        }
-        self.lines[s] = packed::EMPTY;
-        Some(ev)
+        })
     }
-}
 
-/// The hot loop of [`BalancedCache::access_batch`] (ForcedVictim
-/// only), generic over the replacement policy so the caller can pass
-/// either a concrete [`Lru`] (updates inlined, no virtual dispatch) or
-/// the boxed `dyn` policy, and over the CAM width `BAS` so the fused
-/// [`ProgrammableDecoder::probe`] unrolls into straight-line compares
-/// (`BAS == 0` selects the runtime-width fallback). Returns the batch
-/// tally and the PD-hit / PD-miss miss counts; bit-identical to the
-/// per-access `access` path.
-#[allow(clippy::too_many_arguments)]
-fn replay_batch<P: ReplacementPolicy + ?Sized, O: Observer, const BAS: usize>(
-    layout: &IndexLayout,
-    bas: usize,
-    offset_bits: u32,
-    pd: &mut ProgrammableDecoder,
-    lines: &mut [u64],
-    usage: &mut SetUsage,
-    policy: &mut P,
-    observer: &mut O,
-    accesses: &[(Addr, AccessKind)],
-) -> (BatchTally, u64, u64) {
-    let groups = layout.groups();
-    let mut tally = BatchTally::new();
-    let mut pd_hit_misses = 0u64;
-    let mut pd_miss_misses = 0u64;
-    for &(addr, kind) in accesses {
-        let group = layout.npi(addr);
-        let pi = layout.pi(addr);
-        let id = addr.raw() >> offset_bits;
+    /// One access. Both paths run it, so their statistics, PD state and
+    /// event sequences agree by construction: `access` with the boxed
+    /// policy and the runtime-width PD probe (`BAS == 0`),
+    /// `access_batch` with the policy downcast to [`Lru`] where it can
+    /// (stamp updates inlined, no virtual dispatch) and `BAS`
+    /// monomorphized, so the fused [`ProgrammableDecoder::probe`]
+    /// unrolls into straight-line compares.
+    #[inline(always)]
+    fn step<P: ReplacementPolicy + ?Sized, const BAS: usize>(
+        &mut self,
+        policy: &mut P,
+        tally: &mut BatchTally,
+        addr: Addr,
+        kind: AccessKind,
+    ) -> AccessResult {
+        let group = self.layout.npi(addr);
+        let pi = self.layout.pi(addr);
+        let id = self.block_id(addr);
         let (hit, cold) = if BAS == 0 {
-            pd.probe_any(group, pi)
+            self.pd.probe_any(group, pi)
         } else {
-            pd.probe::<BAS>(group, pi)
+            self.pd.probe::<BAS>(group, pi)
         };
-        match hit {
-            Some(way) => {
-                let s = group * bas + way;
-                let word = lines[s];
-                debug_assert!(packed::is_valid(word), "PD entry valid but block invalid");
-                if packed::matches(word, id) {
-                    // PD hit + tag hit.
-                    tally.record(kind, true);
-                    usage.record(way * groups + group, true);
-                    if O::ENABLED {
-                        observer.event(Event::SetTouch {
-                            set: (way * groups + group) as u64,
-                            hit: true,
-                        });
-                    }
-                    policy.on_access(group, way);
-                    if kind.is_write() {
-                        lines[s] = packed::set_dirty(word);
-                    }
-                } else {
-                    // PD hit + tag miss: forced victim, PD unchanged.
-                    tally.record(kind, false);
-                    usage.record(way * groups + group, false);
-                    pd_hit_misses += 1;
-                    if O::ENABLED {
-                        observer.event(Event::Miss {
-                            kind: MissKind::PdForced,
-                        });
-                        if packed::is_dirty(word) {
-                            observer.event(Event::Writeback {
-                                set: (way * groups + group) as u64,
-                            });
-                        }
-                        observer.event(Event::SetTouch {
-                            set: (way * groups + group) as u64,
-                            hit: false,
-                        });
-                    }
-                    tally.record_writeback_if(packed::is_dirty(word));
-                    lines[s] = packed::fill(id, kind.is_write());
-                    policy.on_fill(group, way);
+        let Some(way) = hit else {
+            // PD miss: the miss is predetermined before any tag/data
+            // read. The victim comes from the replacement policy, fully
+            // exploiting the BAS candidate sets.
+            tally.record(kind, false);
+            self.pd_stats.misses_with_pd_miss += 1;
+            let way = match cold {
+                Some(w) => w,
+                None => policy.victim(group),
+            };
+            let set = self.physical_set(group, way) as u64;
+            self.usage.record(set as usize, false);
+            let ev = self.evict(tally, group, way);
+            if O::ENABLED {
+                self.observer.event(Event::Miss {
+                    kind: MissKind::Predetermined,
+                });
+                if ev.as_ref().is_some_and(|e| e.dirty) {
+                    self.observer.event(Event::Writeback { set });
                 }
+                self.observer.event(Event::BasVictim {
+                    candidates: self.params.bas() as u32,
+                    chosen: way as u32,
+                });
+                self.observer.event(Event::PdReprogram {
+                    subarray: group as u64,
+                    pi_old: self.pd.entry(group, way),
+                    pi_new: pi,
+                });
+                self.observer.event(Event::SetTouch { set, hit: false });
             }
-            None => {
-                // PD miss: predetermined miss, policy-chosen victim.
-                tally.record(kind, false);
-                pd_miss_misses += 1;
-                let way = match cold {
-                    Some(w) => w,
-                    None => policy.victim(group),
-                };
-                usage.record(way * groups + group, false);
-                let s = group * bas + way;
-                tally.record_writeback_if(packed::is_dirty(lines[s]));
-                if O::ENABLED {
-                    observer.event(Event::Miss {
-                        kind: MissKind::Predetermined,
-                    });
-                    if packed::is_dirty(lines[s]) {
-                        observer.event(Event::Writeback {
-                            set: (way * groups + group) as u64,
-                        });
-                    }
-                    observer.event(Event::BasVictim {
-                        candidates: bas as u32,
-                        chosen: way as u32,
-                    });
-                    observer.event(Event::PdReprogram {
-                        subarray: group as u64,
-                        pi_old: pd.entry(group, way),
-                        pi_new: pi,
-                    });
-                    observer.event(Event::SetTouch {
-                        set: (way * groups + group) as u64,
-                        hit: false,
-                    });
-                }
-                pd.program(group, way, pi);
-                lines[s] = packed::fill(id, kind.is_write());
-                policy.on_fill(group, way);
+            self.pd.program(group, way, pi);
+            self.fill(policy, group, way, id, kind.is_write());
+            return AccessResult::miss(ev);
+        };
+        let s = self.slot(group, way);
+        let word = self.lines[s];
+        debug_assert!(packed::is_valid(word), "PD entry valid but block invalid");
+        debug_assert_eq!(
+            self.layout.pi(self.block_addr(packed::tag(word))),
+            pi,
+            "PD match disagrees with the resident block's PI"
+        );
+        debug_assert_eq!(
+            self.layout.npi(self.block_addr(packed::tag(word))),
+            group,
+            "resident block belongs to a different NPI group"
+        );
+        let set = self.physical_set(group, way) as u64;
+        if packed::matches(word, id) {
+            // PD hit + tag hit: a plain one-cycle hit.
+            tally.record(kind, true);
+            self.usage.record(set as usize, true);
+            if O::ENABLED {
+                self.observer.event(Event::SetTouch { set, hit: true });
             }
+            policy.on_access(group, way);
+            if kind.is_write() {
+                self.lines[s] = packed::set_dirty(word);
+            }
+            return AccessResult::hit();
         }
+        // PD hit + tag miss: the victim is forced to this set; choosing
+        // any other would leave two identical PIs in the group (paper
+        // Section 2.3, address-25 case).
+        tally.record(kind, false);
+        self.usage.record(set as usize, false);
+        self.pd_stats.misses_with_pd_hit += 1;
+        if O::ENABLED {
+            self.observer.event(Event::Miss {
+                kind: MissKind::PdForced,
+            });
+            if packed::is_dirty(word) {
+                self.observer.event(Event::Writeback { set });
+            }
+            self.observer.event(Event::SetTouch { set, hit: false });
+        }
+        if self.params.pd_hit_policy() == PdHitPolicy::ForcedVictim {
+            let ev = self.evict(tally, group, way);
+            self.fill(policy, group, way, id, kind.is_write());
+            // The PD entry already holds this PI.
+            return AccessResult::miss(ev);
+        }
+        // EvictBoth ablation: let the policy pick anyway. If it picks
+        // another way, the matching way must be invalidated too (unique
+        // decoding), losing a second block — the cost the paper avoids.
+        // Only the policy victim's eviction propagates; the collateral
+        // one is counted in the stats.
+        let victim = policy.victim(group);
+        if victim != way {
+            self.evict(tally, group, way);
+            self.pd.invalidate(group, way);
+        }
+        let ev = self.evict(tally, group, victim);
+        if O::ENABLED {
+            self.observer.event(Event::PdReprogram {
+                subarray: group as u64,
+                pi_old: self.pd.entry(group, victim),
+                pi_new: pi,
+            });
+        }
+        self.pd.invalidate(group, victim);
+        self.pd.program(group, victim, pi);
+        self.fill(policy, group, victim, id, kind.is_write());
+        AccessResult::miss(ev)
     }
-    (tally, pd_hit_misses, pd_miss_misses)
 }
 
-/// Picks the monomorphized [`replay_batch`] for the paper's BAS values
-/// (Table 5 sweeps powers of two up to 32); anything else takes the
-/// runtime-width kernel.
-#[allow(clippy::too_many_arguments)]
-fn replay_dispatch<P: ReplacementPolicy + ?Sized, O: Observer>(
-    layout: &IndexLayout,
-    bas: usize,
-    offset_bits: u32,
-    pd: &mut ProgrammableDecoder,
-    lines: &mut [u64],
-    usage: &mut SetUsage,
+/// [`State::step`] over a whole batch, monomorphized for the paper's
+/// BAS values (Table 5 sweeps powers of two up to 32); anything else
+/// takes the runtime-width probe.
+fn replay<P: ReplacementPolicy + ?Sized, O: Observer>(
+    st: &mut State<O>,
     policy: &mut P,
-    observer: &mut O,
+    tally: &mut BatchTally,
     accesses: &[(Addr, AccessKind)],
-) -> (BatchTally, u64, u64) {
+) {
     macro_rules! kernel {
         ($w:literal) => {
-            replay_batch::<P, O, $w>(
-                layout,
-                bas,
-                offset_bits,
-                pd,
-                lines,
-                usage,
-                policy,
-                observer,
-                accesses,
-            )
+            for &(addr, kind) in accesses {
+                st.step::<P, $w>(policy, tally, addr, kind);
+            }
         };
     }
-    match bas {
-        1 => kernel!(1),
-        2 => kernel!(2),
-        4 => kernel!(4),
-        8 => kernel!(8),
-        16 => kernel!(16),
-        32 => kernel!(32),
-        _ => kernel!(0),
-    }
+    cache_sim::dispatch_width!(st.params.bas(), kernel)
 }
 
 impl<O: Observer> CacheModel for BalancedCache<O> {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let group = self.layout.npi(addr);
-        let pi = self.layout.pi(addr);
-        let id = self.block_id(addr);
-
-        match self.pd.lookup(group, pi) {
-            Some(way) => {
-                let s = self.slot(group, way);
-                let word = self.lines[s];
-                debug_assert!(packed::is_valid(word), "PD entry valid but block invalid");
-                debug_assert_eq!(
-                    self.layout.pi(self.block_addr(packed::tag(word))),
-                    pi,
-                    "PD match disagrees with the resident block's PI"
-                );
-                debug_assert_eq!(
-                    self.layout.npi(self.block_addr(packed::tag(word))),
-                    group,
-                    "resident block belongs to a different NPI group"
-                );
-                if packed::matches(word, id) {
-                    // PD hit + tag hit: a plain one-cycle hit.
-                    self.stats.record(kind, true);
-                    self.usage.record(self.physical_set(group, way), true);
-                    if O::ENABLED {
-                        let set = self.physical_set(group, way) as u64;
-                        self.observer.event(Event::SetTouch { set, hit: true });
-                    }
-                    self.policy.on_access(group, way);
-                    if kind.is_write() {
-                        self.lines[s] = packed::set_dirty(word);
-                    }
-                    AccessResult::hit()
-                } else {
-                    // PD hit + tag miss: the victim is forced to this set;
-                    // choosing any other would leave two identical PIs in
-                    // the group (paper Section 2.3, address-25 case).
-                    self.stats.record(kind, false);
-                    self.usage.record(self.physical_set(group, way), false);
-                    self.pd_stats.misses_with_pd_hit += 1;
-                    if O::ENABLED {
-                        let set = self.physical_set(group, way) as u64;
-                        self.observer.event(Event::Miss {
-                            kind: MissKind::PdForced,
-                        });
-                        if packed::is_dirty(word) {
-                            self.observer.event(Event::Writeback { set });
-                        }
-                        self.observer.event(Event::SetTouch { set, hit: false });
-                    }
-                    match self.params.pd_hit_policy() {
-                        crate::params::PdHitPolicy::ForcedVictim => {
-                            let ev = self.evict(group, way);
-                            self.fill(group, way, id, kind.is_write());
-                            // The PD entry already holds this PI.
-                            AccessResult::miss(ev)
-                        }
-                        crate::params::PdHitPolicy::EvictBoth => {
-                            // Ablation: let the policy pick anyway. If it
-                            // picks another way, the matching way must be
-                            // invalidated too (unique decoding), losing a
-                            // second block — the cost the paper avoids.
-                            // Only the policy victim's eviction propagates;
-                            // the collateral one is counted in the stats.
-                            let victim = self.policy.victim(group);
-                            if victim != way {
-                                self.evict(group, way);
-                                self.pd.invalidate(group, way);
-                            }
-                            let ev = self.evict(group, victim);
-                            if O::ENABLED {
-                                self.observer.event(Event::PdReprogram {
-                                    subarray: group as u64,
-                                    pi_old: self.pd.entry(group, victim),
-                                    pi_new: pi,
-                                });
-                            }
-                            self.pd.invalidate(group, victim);
-                            self.pd.program(group, victim, pi);
-                            self.fill(group, victim, id, kind.is_write());
-                            AccessResult::miss(ev)
-                        }
-                    }
-                }
-            }
-            None => {
-                // PD miss: the miss is predetermined before any tag/data
-                // read. The victim comes from the replacement policy,
-                // fully exploiting the BAS candidate sets.
-                self.stats.record(kind, false);
-                self.pd_stats.misses_with_pd_miss += 1;
-                let way = match self.pd.invalid_way(group) {
-                    Some(w) => w,
-                    None => self.policy.victim(group),
-                };
-                self.usage.record(self.physical_set(group, way), false);
-                let ev = self.evict(group, way);
-                if O::ENABLED {
-                    let set = self.physical_set(group, way) as u64;
-                    self.observer.event(Event::Miss {
-                        kind: MissKind::Predetermined,
-                    });
-                    if ev.as_ref().is_some_and(|e| e.dirty) {
-                        self.observer.event(Event::Writeback { set });
-                    }
-                    self.observer.event(Event::BasVictim {
-                        candidates: self.params.bas() as u32,
-                        chosen: way as u32,
-                    });
-                    self.observer.event(Event::PdReprogram {
-                        subarray: group as u64,
-                        pi_old: self.pd.entry(group, way),
-                        pi_new: pi,
-                    });
-                    self.observer.event(Event::SetTouch { set, hit: false });
-                }
-                self.pd.program(group, way, pi);
-                self.fill(group, way, id, kind.is_write());
-                AccessResult::miss(ev)
-            }
-        }
+        let mut tally = BatchTally::new();
+        let result = self
+            .st
+            .step::<_, 0>(self.policy.as_mut(), &mut tally, addr, kind);
+        tally.flush(&mut self.st.stats);
+        result
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Monomorphized replay for the paper's ForcedVictim design:
-        // packed lines, PD lookups over a flat `u64` CAM, statistics
-        // tallied in registers. Bit-identical to the `access` loop (the
-        // batch-equivalence suite and the BCacheOracle enforce it). The
-        // EvictBoth ablation is off the hot path and keeps the loop.
-        if self.params.pd_hit_policy() != crate::params::PdHitPolicy::ForcedVictim {
-            for &(addr, kind) in accesses {
-                self.access(addr, kind);
-            }
-            return;
+        // Specialize on the concrete policy where it pays: LRU is the
+        // paper default (and the benchmarked configuration), so its
+        // stamp updates inline into the loop instead of costing two
+        // virtual calls per miss. Other policies take the same kernel
+        // through dynamic dispatch.
+        let mut tally = BatchTally::new();
+        if let Some(lru) = self.policy.as_any_mut().downcast_mut::<Lru>() {
+            replay(&mut self.st, lru, &mut tally, accesses);
+        } else {
+            replay(&mut self.st, self.policy.as_mut(), &mut tally, accesses);
         }
-        let bas = self.params.bas();
-        let offset_bits = self.params.geometry().offset_bits();
-        // Specialize the kernel on the concrete policy where it pays:
-        // LRU is the paper default (and the benchmarked configuration),
-        // so its stamp updates inline into the loop instead of costing
-        // two virtual calls per miss. Other policies take the same
-        // kernel through dynamic dispatch.
-        let (tally, pd_hit_misses, pd_miss_misses) =
-            if let Some(lru) = self.policy.as_any_mut().downcast_mut::<Lru>() {
-                replay_dispatch(
-                    &self.layout,
-                    bas,
-                    offset_bits,
-                    &mut self.pd,
-                    &mut self.lines,
-                    &mut self.usage,
-                    lru,
-                    &mut self.observer,
-                    accesses,
-                )
-            } else {
-                replay_dispatch(
-                    &self.layout,
-                    bas,
-                    offset_bits,
-                    &mut self.pd,
-                    &mut self.lines,
-                    &mut self.usage,
-                    self.policy.as_mut(),
-                    &mut self.observer,
-                    accesses,
-                )
-            };
-        tally.flush(&mut self.stats);
-        self.pd_stats.misses_with_pd_hit += pd_hit_misses;
-        self.pd_stats.misses_with_pd_miss += pd_miss_misses;
+        tally.flush(&mut self.st.stats);
     }
 
     fn stats(&self) -> &CacheStats {
-        &self.stats
+        &self.st.stats
     }
 
     fn reset_stats(&mut self) {
-        self.stats.reset();
-        self.usage.reset();
-        self.pd_stats = PdStats::default();
+        self.st.stats.reset();
+        self.st.usage.reset();
+        self.st.pd_stats = PdStats::default();
     }
 
     fn geometry(&self) -> CacheGeometry {
-        self.params.geometry()
+        self.st.params.geometry()
     }
 
     fn set_usage(&self) -> Option<&SetUsage> {
-        Some(&self.usage)
+        Some(&self.st.usage)
     }
 
     fn label(&self) -> String {
         format!(
             "MF{}-BAS{}",
-            self.params.mapping_factor(),
-            self.params.bas()
+            self.st.params.mapping_factor(),
+            self.st.params.bas()
         )
     }
 }
@@ -595,10 +455,8 @@ impl<O: Observer> CacheModel for BalancedCache<O> {
 impl<O: Observer> std::fmt::Debug for BalancedCache<O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BalancedCache")
-            .field("params", &self.params)
-            .field("pd_stats", &self.pd_stats)
-            .field("stats", &self.stats)
-            .field("observer", &self.observer)
+            .field("state", &self.st)
+            .field("policy", &self.policy)
             .finish()
     }
 }
@@ -670,7 +528,7 @@ mod tests {
             .map(|b| Addr::new(b * 32))
             .find(|&a| {
                 let v = Addr::new(victim_block * 32);
-                l.npi(a) == l.npi(v) && l.pi(a) == l.pi(v) && bc.block_id(a) != bc.block_id(v)
+                l.npi(a) == l.npi(v) && l.pi(a) == l.pi(v) && bc.st.block_id(a) != bc.st.block_id(v)
             })
             .expect("a conflicting address exists");
         let r = bc.access(candidate, AccessKind::Read);
@@ -692,7 +550,9 @@ mod tests {
         let g1_resident = Addr::new(32);
         let fresh = (0..512u64)
             .map(|b| Addr::new(b * 32))
-            .find(|&a| l.npi(a) == l.npi(g1_resident) && bc.pd.lookup(l.npi(a), l.pi(a)).is_none())
+            .find(|&a| {
+                l.npi(a) == l.npi(g1_resident) && bc.st.pd.probe_any(l.npi(a), l.pi(a)).0.is_none()
+            })
             .expect("a PD-missing address exists");
         let r = bc.access(fresh, AccessKind::Read);
         assert!(!r.hit);
@@ -908,50 +768,6 @@ mod tests {
         assert!(bc.probe(Addr::new(0x2010)));
         assert!(!bc.probe(Addr::new(0x8000)));
         assert_eq!(bc.stats().total().accesses(), 1);
-    }
-
-    #[test]
-    fn access_batch_is_bit_identical_to_the_loop() {
-        for (mf, bas, policy) in [
-            (8usize, 8usize, PolicyKind::Lru),
-            (4, 4, PolicyKind::Fifo),
-            (2, 8, PolicyKind::TreePlru),
-            (8, 2, PolicyKind::Random),
-        ] {
-            let params = BCacheParams::new(geom_16k(), mf, bas, policy)
-                .unwrap()
-                .with_seed(7);
-            let mut looped = BalancedCache::new(params);
-            let mut batched = BalancedCache::new(params);
-            let mut x = 0x6A09_E667u64;
-            let accesses: Vec<(Addr, AccessKind)> = (0..8_000)
-                .map(|_| {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let kind = if x & 4 == 0 {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    };
-                    (Addr::new((x >> 16) & 0xF_FFFF), kind)
-                })
-                .collect();
-            for &(addr, kind) in &accesses {
-                looped.access(addr, kind);
-            }
-            batched.access_batch(&accesses);
-            assert_eq!(
-                looped.stats(),
-                batched.stats(),
-                "MF{mf} BAS{bas} {policy:?}"
-            );
-            assert_eq!(looped.pd_stats(), batched.pd_stats(), "MF{mf} BAS{bas}");
-            assert_eq!(looped.usage, batched.usage, "MF{mf} BAS{bas}");
-            assert_eq!(looped.lines, batched.lines, "MF{mf} BAS{bas} contents");
-            assert_eq!(looped.pd, batched.pd, "MF{mf} BAS{bas} decoders");
-            assert!(batched.invariants_hold());
-        }
     }
 
     #[test]

@@ -50,36 +50,10 @@ impl ProgrammableDecoder {
         self.entries.len() / self.bas
     }
 
-    /// Searches group `group` for an entry matching `pi`.
-    ///
-    /// Returns the matching way, or `None` on a PD miss. By the
-    /// unique-decoding invariant at most one entry can match.
-    #[inline]
-    pub fn lookup(&self, group: usize, pi: u64) -> Option<usize> {
-        debug_assert_ne!(pi, INVALID, "PI collides with the cold sentinel");
-        let base = group * self.bas;
-        let entries = &self.entries[base..base + self.bas];
-        let hit = entries.iter().position(|&e| e == pi);
-        debug_assert!(
-            hit.is_none() || entries.iter().filter(|&&e| e == pi).count() == 1,
-            "unique-decoding invariant violated in group {group}"
-        );
-        hit
-    }
-
     /// Returns the PI stored at `(group, way)`, or `None` if cold.
     pub fn entry(&self, group: usize, way: usize) -> Option<u64> {
         let e = self.entries[group * self.bas + way];
         (e != INVALID).then_some(e)
-    }
-
-    /// Finds a cold (invalid) way in `group`, if any.
-    #[inline]
-    pub fn invalid_way(&self, group: usize) -> Option<usize> {
-        let base = group * self.bas;
-        self.entries[base..base + self.bas]
-            .iter()
-            .position(|&e| e == INVALID)
     }
 
     /// One fused CAM probe: the way matching `pi` and the first cold
@@ -88,10 +62,9 @@ impl ProgrammableDecoder {
     /// `BAS` must equal [`bas`](Self::bas). Monomorphizing on it gives
     /// the [`simd::dual_eq_masks`] lane compare a compile-time width —
     /// one entry load feeds both the PI match and the cold-sentinel
-    /// compare, four entries per AVX2 vector (or the unrolled portable
-    /// loop) — the software analogue of the CAM's parallel match
-    /// lines. The batched replay kernels dispatch to it per
-    /// configuration.
+    /// compare in an unrolled loop — the software analogue of the
+    /// CAM's parallel match lines. The batched replay kernel dispatches
+    /// to it per configuration.
     #[inline(always)]
     pub fn probe<const BAS: usize>(&self, group: usize, pi: u64) -> (Option<usize>, Option<usize>) {
         debug_assert_eq!(BAS, self.bas, "probe width must match the decoder");
@@ -108,8 +81,8 @@ impl ProgrammableDecoder {
         (simd::first_set_lane(matched), simd::first_set_lane(cold))
     }
 
-    /// [`probe`](Self::probe) for a runtime `BAS` (the fallback of the
-    /// batched kernels when no monomorphized width matches).
+    /// [`probe`](Self::probe) for a runtime `BAS`: the per-access path,
+    /// and the batched kernels when no monomorphized width matches.
     #[inline]
     pub fn probe_any(&self, group: usize, pi: u64) -> (Option<usize>, Option<usize>) {
         let base = group * self.bas;
@@ -194,29 +167,28 @@ mod tests {
         assert_eq!(pd.groups(), 64);
         assert_eq!(pd.bas(), 8);
         assert_eq!(pd.cold_fraction(), 1.0);
-        assert_eq!(pd.lookup(0, 0), None);
-        assert_eq!(pd.invalid_way(0), Some(0));
+        assert_eq!(pd.probe_any(0, 0), (None, Some(0)));
     }
 
     #[test]
     fn program_then_lookup() {
         let mut pd = ProgrammableDecoder::new(&layout(), 8);
         pd.program(3, 5, 0b10_1101);
-        assert_eq!(pd.lookup(3, 0b10_1101), Some(5));
-        assert_eq!(pd.lookup(3, 0b10_1100), None);
-        assert_eq!(pd.lookup(2, 0b10_1101), None, "groups are independent");
+        assert_eq!(pd.probe_any(3, 0b10_1101).0, Some(5));
+        assert_eq!(pd.probe_any(3, 0b10_1100).0, None);
+        assert_eq!(pd.probe_any(2, 0b10_1101).0, None, "groups are independent");
         assert_eq!(pd.entry(3, 5), Some(0b10_1101));
     }
 
     #[test]
-    fn invalid_way_skips_programmed_entries() {
+    fn probe_reports_the_first_cold_way() {
         let mut pd = ProgrammableDecoder::new(&layout(), 4);
         pd.program(0, 0, 1);
         pd.program(0, 1, 2);
-        assert_eq!(pd.invalid_way(0), Some(2));
+        assert_eq!(pd.probe_any(0, 9).1, Some(2));
         pd.program(0, 2, 3);
         pd.program(0, 3, 4);
-        assert_eq!(pd.invalid_way(0), None);
+        assert_eq!(pd.probe_any(0, 9).1, None);
     }
 
     #[test]
@@ -224,8 +196,8 @@ mod tests {
         let mut pd = ProgrammableDecoder::new(&layout(), 4);
         pd.program(1, 0, 7);
         pd.program(1, 0, 9); // same way, new PI: fine
-        assert_eq!(pd.lookup(1, 7), None);
-        assert_eq!(pd.lookup(1, 9), Some(0));
+        assert_eq!(pd.probe_any(1, 7).0, None);
+        assert_eq!(pd.probe_any(1, 9).0, Some(0));
         assert!(pd.invariant_holds());
     }
 

@@ -39,20 +39,16 @@
 //!     [`CacheModel::access_batch`] at a random chunk size and its
 //!     final hit/miss/writeback counters must equal the per-access
 //!     [`OracleCache`] — the differential form of the proptest suite in
-//!     `tests/proptest_differential.rs`;
+//!     `tests/proptest_differential.rs`; one case in seven drives a
+//!     B-Cache at random geometry (MF/BAS/policy) the same way, and its
+//!     counters, PD counters included, must equal the per-access
+//!     [`BCacheOracle`];
 //! 12. the birthday adversary: blocks spaced `2^19` apart share the set
 //!     index *and* the NPI/PI fields of the 16 kB paper-default
 //!     B-Cache, so the programmable decoder is defeated and both the
 //!     direct-mapped baseline and the B-Cache must hit exactly when the
 //!     block repeats back-to-back — the pathwise form of the analytic
-//!     `1 − min(capacity, k)/k` miss rate (see `analytic::birthday`);
-//! 13. simd vs oracle: a B-Cache at random geometry (MF/BAS/policy) is
-//!     driven purely through [`CacheModel::access_batch`] at a random
-//!     chunk size — the SIMD lane kernels (`cache_sim::simd`) on their
-//!     hottest path — and its hit/miss/writeback/PD counters must equal
-//!     the per-access [`BCacheOracle`]. Under `BCACHE_NO_SIMD=1` the
-//!     same cases exercise the portable backend, which is how CI covers
-//!     both dispatch paths.
+//!     `1 − min(capacity, k)/k` miss rate (see `analytic::birthday`).
 //!
 //! `--scenario NAME|INDEX` (see [`SCENARIOS`]) restricts a run to one
 //! scenario, e.g. for a targeted CI smoke.
@@ -93,7 +89,6 @@ pub const SCENARIOS: &[&str] = &[
     "batch_equivalence",
     "batched_vs_oracle",
     "birthday_adversarial",
-    "simd_vs_oracle",
 ];
 
 /// Resolves a `--scenario` argument: a name from [`SCENARIOS`] or a
@@ -449,8 +444,7 @@ fn run_case_in(seed: u64, case: u64, scenario: Option<usize>) -> Option<Divergen
         8 => demand_fill_sanity(seed, case, &mut rng),
         9 => batch_equivalence(seed, case, &mut rng),
         10 => batched_vs_oracle(seed, case, &mut rng),
-        11 => birthday_adversarial(seed, case, &mut rng),
-        _ => simd_vs_oracle(seed, case, &mut rng),
+        _ => birthday_adversarial(seed, case, &mut rng),
     }
 }
 
@@ -1064,9 +1058,12 @@ fn batch_equivalence(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergen
 }
 
 fn batched_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
+    let which = rng.below(7);
+    if which == 6 {
+        return batched_bcache_vs_oracle(seed, case, rng);
+    }
     let line = 32usize;
     let sets = rng.pick(&[4usize, 8, 16]);
-    let which = rng.below(6);
     let assoc = match which {
         0 => 1,                                // direct-mapped
         1 => rng.pick(&[1usize, 2, 4, 8, 16]), // const-dispatched widths
@@ -1248,14 +1245,11 @@ fn birthday_adversarial(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Diver
     )
 }
 
-fn simd_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
-    // The batched B-Cache kernel is the heaviest consumer of the
-    // `cache_sim::simd` lane ops (PD probes, tag compares, victim
-    // scans); driving it purely through `access_batch` at a random
-    // chunk size against the per-access oracle is the differential
-    // check for the whole SIMD layer. Whatever backend the process
-    // dispatched to (AVX2, or portable under `BCACHE_NO_SIMD=1`) is
-    // the one on trial.
+/// The B-Cache share of [`batched_vs_oracle`]: the batched kernel
+/// (every BAS width, LRU downcast or `dyn` policy) driven purely
+/// through `access_batch` at a random chunk size against the
+/// per-access [`BCacheOracle`].
+fn batched_bcache_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
     let line = 32usize;
     let size = rng.pick(&[256usize, 512, 1024, 2048]);
     let sets = size / line;
@@ -1320,7 +1314,7 @@ fn simd_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence>
             return Some((
                 t.len() - 1,
                 format!(
-                    "simd bcache[{size}B MF{mf} BAS{bas} {policy:?}] batched in \
+                    "bcache[{size}B MF{mf} BAS{bas} {policy:?}] batched in \
                      {chunk}-chunks: (h, m, wb, pdh, pdm) {got:?} vs oracle {want:?}"
                 ),
             ));
@@ -1335,9 +1329,17 @@ fn simd_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence>
         "        let _ = model.access(cache_sim::Addr::new(addr), kind);\n\
          \x20       // Replay this trace through `access_batch` in {chunk}-sized chunks on an\n\
          \x20       // identical model and compare final counters (incl. PD) to the\n\
-         \x20       // per-access BCacheOracle (see harness::fuzz, simd_vs_oracle).\n"
+         \x20       // per-access BCacheOracle (see harness::fuzz, batched_vs_oracle).\n"
     );
-    diverge("simd_vs_oracle", case, seed, trace, &check, setup, &body)
+    diverge(
+        "batched_bcache_vs_oracle",
+        case,
+        seed,
+        trace,
+        &check,
+        setup,
+        &body,
+    )
 }
 
 #[cfg(test)]
@@ -1357,8 +1359,8 @@ mod tests {
     fn scenario_filter_parses_names_and_indices() {
         let o = FuzzOptions::parse(&["--scenario", "birthday_adversarial"]).unwrap();
         assert_eq!(o.scenario, Some(11));
-        let o = FuzzOptions::parse(&["--scenario", "simd_vs_oracle"]).unwrap();
-        assert_eq!(o.scenario, Some(SCENARIOS.len() - 1));
+        let o = FuzzOptions::parse(&["--scenario", "batched_vs_oracle"]).unwrap();
+        assert_eq!(o.scenario, Some(10));
         let o = FuzzOptions::parse(&["--scenario", "0"]).unwrap();
         assert_eq!(o.scenario, Some(0));
         assert!(FuzzOptions::parse(&["--scenario", "nope"]).is_err());
@@ -1379,21 +1381,9 @@ mod tests {
     }
 
     #[test]
-    fn pinned_simd_oracle_scenario_is_clean() {
-        let opts = FuzzOptions {
-            iters: 60,
-            seed: 13,
-            jobs: 2,
-            scenario: Some(resolve_scenario("simd_vs_oracle").unwrap()),
-        };
-        let report = run(&opts);
-        assert!(report.divergences.is_empty(), "{}", report.render());
-    }
-
-    #[test]
     fn pinned_batched_oracle_scenario_is_clean() {
         let opts = FuzzOptions {
-            iters: 60,
+            iters: 140,
             seed: 11,
             jobs: 2,
             scenario: Some(resolve_scenario("batched_vs_oracle").unwrap()),

@@ -39,7 +39,7 @@
 //!                    [--baseline PATH] [--smoke] [--per-access]
 //!   simulator micro-benchmarks at a pinned record count, written as
 //!   BENCH_repro.json rows ({model, maccesses_per_sec, records, seed,
-//!   git_rev, backend, lanes}); --smoke shortens the run and fails if
+//!   git_rev, lanes}); --smoke shortens the run and fails if
 //!   direct-mapped throughput drops >20% versus the committed
 //!   BENCH_baseline.json
 //!

@@ -183,7 +183,6 @@ impl LoadgenReport {
             records: opts.records,
             seed: opts.seed,
             git_rev: bench::git_rev(),
-            backend: "serve".into(),
             lanes: opts.connections as u64,
         }])
     }

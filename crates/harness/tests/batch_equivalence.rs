@@ -1,11 +1,15 @@
 //! Throughput-neutrality suite: the batched access kernels must be
 //! observably free — [`CacheModel::access_batch`] over a long fuzz
-//! stream produces byte-identical statistics to the per-access loop on
-//! every model, and the monomorphized B-Cache fast path still matches
-//! [`BCacheOracle`] exactly. A divergence here means an optimization
-//! changed simulation semantics, which no speedup justifies.
+//! stream leaves every model in exactly the state of the per-access
+//! loop (statistics, set usage, and the model's whole internal state as
+//! its `Debug` rendering shows it), and the monomorphized B-Cache fast
+//! path still matches [`BCacheOracle`] exactly. A divergence here means
+//! an optimization changed simulation semantics, which no speedup
+//! justifies.
 
-use bcache_core::{BCacheParams, BalancedCache};
+use std::fmt::Debug;
+
+use bcache_core::{BCacheParams, BalancedCache, PdHitPolicy};
 use cache_sim::oracle::BCacheOracle;
 use cache_sim::{
     AccessKind, Addr, AgacCache, CacheGeometry, CacheModel, ColumnAssociativeCache,
@@ -72,9 +76,32 @@ fn birthday_stream(k: u64, seed: u64) -> Vec<(Addr, AccessKind)> {
         .collect()
 }
 
-/// Two identical instances of every model in the repo.
-fn model_pairs() -> Vec<(Box<dyn CacheModel>, Box<dyn CacheModel>)> {
-    let build: Vec<Box<dyn Fn() -> Box<dyn CacheModel>>> = vec![
+/// A cache model whose whole internal state can be compared through
+/// its `Debug` rendering.
+trait Model: CacheModel + Debug {}
+
+impl<T: CacheModel + Debug> Model for T {}
+
+type Builder = Box<dyn Fn() -> Box<dyn Model>>;
+
+/// A 16 kB B-Cache builder.
+fn bcache(mf: usize, bas: usize, policy: PolicyKind, pd_hit: PdHitPolicy) -> Builder {
+    Box::new(move || {
+        let geom = CacheGeometry::new(16 * 1024, 32, 1).unwrap();
+        let params = BCacheParams::new(geom, mf, bas, policy)
+            .unwrap()
+            .with_seed(7)
+            .with_pd_hit_policy(pd_hit);
+        Box::new(BalancedCache::new(params))
+    })
+}
+
+/// Two identical instances of every model in the repo, plus the
+/// B-Cache on each of its kernel paths: the LRU downcast at const and
+/// runtime BAS widths, the `dyn` policy path, and the EvictBoth arm.
+fn model_pairs() -> Vec<(Box<dyn Model>, Box<dyn Model>)> {
+    use PdHitPolicy::{EvictBoth, ForcedVictim};
+    let build: Vec<Builder> = vec![
         Box::new(|| Box::new(DirectMappedCache::new(16 * 1024, 32).unwrap())),
         Box::new(|| {
             Box::new(SetAssociativeCache::new(16 * 1024, 32, 8, PolicyKind::Lru, 0).unwrap())
@@ -85,10 +112,17 @@ fn model_pairs() -> Vec<(Box<dyn CacheModel>, Box<dyn CacheModel>)> {
             )
         }),
         Box::new(|| {
-            let geom = CacheGeometry::new(16 * 1024, 32, 1).unwrap();
-            let params = BCacheParams::new(geom, 8, 8, PolicyKind::Lru).unwrap();
-            Box::new(BalancedCache::new(params))
+            Box::new(SetAssociativeCache::new(16 * 1024, 32, 4, PolicyKind::Fifo, 0).unwrap())
         }),
+        Box::new(|| {
+            Box::new(SetAssociativeCache::new(16 * 1024, 32, 4, PolicyKind::TreePlru, 0).unwrap())
+        }),
+        bcache(8, 8, PolicyKind::Lru, ForcedVictim),
+        bcache(8, 64, PolicyKind::Lru, ForcedVictim),
+        bcache(8, 8, PolicyKind::Lru, EvictBoth),
+        bcache(4, 4, PolicyKind::Fifo, ForcedVictim),
+        bcache(2, 8, PolicyKind::TreePlru, ForcedVictim),
+        bcache(8, 2, PolicyKind::Random, EvictBoth),
         Box::new(|| Box::new(VictimCache::new(16 * 1024, 32, 16).unwrap())),
         Box::new(|| Box::new(ColumnAssociativeCache::new(16 * 1024, 32).unwrap())),
         Box::new(|| Box::new(SkewedAssociativeCache::new(16 * 1024, 32).unwrap())),
@@ -101,14 +135,44 @@ fn model_pairs() -> Vec<(Box<dyn CacheModel>, Box<dyn CacheModel>)> {
     build.iter().map(|b| (b(), b())).collect()
 }
 
-/// Two identical instances of every model at its most degenerate legal
+/// Replays `accesses` through `scalar` per access and through
+/// `batched` in one batch, then asserts the two ended in the same
+/// state.
+fn assert_batch_matches_loop(
+    name: &str,
+    mut scalar: Box<dyn Model>,
+    mut batched: Box<dyn Model>,
+    accesses: &[(Addr, AccessKind)],
+) {
+    for &(addr, kind) in accesses {
+        scalar.access(addr, kind);
+    }
+    batched.access_batch(accesses);
+    let label = scalar.label();
+    assert_eq!(
+        scalar.stats(),
+        batched.stats(),
+        "{name} ({label}): batched stats diverge from the per-access loop"
+    );
+    assert_eq!(
+        scalar.set_usage(),
+        batched.set_usage(),
+        "{name} ({label}): batched set-usage counters diverge"
+    );
+    assert!(
+        format!("{scalar:?}") == format!("{batched:?}"),
+        "{name} ({label}): batched internal state diverges from the per-access loop"
+    );
+}
+
+/// A builder for every model at its most degenerate legal
 /// geometries: one set, one way, and cache-size == line-size. These
 /// shapes put every "first/last element" branch of the batched kernels
 /// on the hot path — a single frame, a single index bit, BAS equal to
 /// the whole set count — where an off-by-one hides from the 16 kB
 /// suite above.
-fn degenerate_pairs() -> Vec<(&'static str, Box<dyn CacheModel>, Box<dyn CacheModel>)> {
-    let build: Vec<(&'static str, Box<dyn Fn() -> Box<dyn CacheModel>>)> = vec![
+fn degenerate_builders() -> Vec<(&'static str, Builder)> {
+    vec![
         (
             "DM, cache == line",
             Box::new(|| Box::new(DirectMappedCache::new(32, 32).unwrap())),
@@ -185,30 +249,14 @@ fn degenerate_pairs() -> Vec<(&'static str, Box<dyn CacheModel>, Box<dyn CacheMo
             "way-halting, 1-set",
             Box::new(|| Box::new(WayHaltingCache::new(128, 32, 4, 4).unwrap())),
         ),
-    ];
-    build.iter().map(|(name, b)| (*name, b(), b())).collect()
+    ]
 }
 
 #[test]
 fn access_batch_matches_the_per_access_loop_on_every_model() {
     let accesses = stream(42);
-    for (mut scalar, mut batched) in model_pairs() {
-        for &(addr, kind) in &accesses {
-            scalar.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        assert_eq!(
-            scalar.stats(),
-            batched.stats(),
-            "{}: batched stats diverge from the per-access loop",
-            scalar.label()
-        );
-        assert_eq!(
-            scalar.set_usage(),
-            batched.set_usage(),
-            "{}: batched set-usage counters diverge",
-            scalar.label()
-        );
+    for (scalar, batched) in model_pairs() {
+        assert_batch_matches_loop("fuzz stream", scalar, batched, &accesses);
     }
 }
 
@@ -220,23 +268,8 @@ fn access_batch_matches_the_per_access_loop_on_birthday_adversaries() {
     // spread-out traffic of `stream`.
     for k in [8u64, 16, 32, 64] {
         let accesses = birthday_stream(k, 0xB1DA + k);
-        for (mut scalar, mut batched) in model_pairs() {
-            for &(addr, kind) in &accesses {
-                scalar.access(addr, kind);
-            }
-            batched.access_batch(&accesses);
-            assert_eq!(
-                scalar.stats(),
-                batched.stats(),
-                "{} on birthday{k}: batched stats diverge from the per-access loop",
-                scalar.label()
-            );
-            assert_eq!(
-                scalar.set_usage(),
-                batched.set_usage(),
-                "{} on birthday{k}: batched set-usage counters diverge",
-                scalar.label()
-            );
+        for (scalar, batched) in model_pairs() {
+            assert_batch_matches_loop(&format!("birthday{k}"), scalar, batched, &accesses);
         }
     }
 }
@@ -263,23 +296,60 @@ fn chunked_batches_match_one_big_batch() {
 #[test]
 fn access_batch_matches_the_per_access_loop_on_degenerate_geometries() {
     let accesses = stream(1234);
-    for (name, mut scalar, mut batched) in degenerate_pairs() {
-        for &(addr, kind) in &accesses {
-            scalar.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        assert_eq!(
-            scalar.stats(),
-            batched.stats(),
-            "{name} ({}): batched stats diverge from the per-access loop",
-            scalar.label()
-        );
-        assert_eq!(
-            scalar.set_usage(),
-            batched.set_usage(),
-            "{name} ({}): batched set-usage counters diverge",
-            scalar.label()
-        );
+    for (name, build) in degenerate_builders() {
+        assert_batch_matches_loop(name, build(), build(), &accesses);
+    }
+}
+
+/// Every const-dispatched CAM width through whole models: victim
+/// buffers at each monomorphized power-of-two width (its geometry
+/// rejects other counts), AGAC directories from 1 to 32 including
+/// non-powers of two (the `cam` runtime fallback), set-assoc LRU and
+/// HAC at every width their scans monomorphize, and the B-Cache at
+/// every BAS the decoder probe monomorphizes. The raw cam-vs-const
+/// pinning at widths 1..=33 lives in `cache_sim::cam`'s unit tests.
+#[test]
+fn every_const_cam_width_matches_per_access() {
+    let accesses: Vec<(Addr, AccessKind)> = stream(9).into_iter().take(6_000).collect();
+    let mut builders: Vec<(String, Builder)> = Vec::new();
+    for entries in [1usize, 2, 4, 8, 16, 32] {
+        builders.push((
+            format!("victim{entries}"),
+            Box::new(move || Box::new(VictimCache::new(1024, 32, entries).unwrap())),
+        ));
+    }
+    for entries in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 25, 31, 32] {
+        builders.push((
+            format!("agac{entries}"),
+            Box::new(move || Box::new(AgacCache::new(1024, 32, entries).unwrap())),
+        ));
+    }
+    for assoc in [1usize, 2, 4, 8, 16, 32] {
+        builders.push((
+            format!("lru{assoc}way"),
+            Box::new(move || {
+                Box::new(
+                    SetAssociativeCache::new(assoc * 256, 32, assoc, PolicyKind::Lru, 0).unwrap(),
+                )
+            }),
+        ));
+    }
+    for lines_per_sub in [1usize, 2, 4, 8, 16, 32] {
+        builders.push((
+            format!("hac-sub{lines_per_sub}"),
+            Box::new(move || {
+                Box::new(HighlyAssociativeCache::new(2048, 32, lines_per_sub * 32).unwrap())
+            }),
+        ));
+    }
+    for bas in [1usize, 2, 4, 8, 16, 32, 64] {
+        builders.push((
+            format!("bcache-bas{bas}"),
+            bcache(8, bas, PolicyKind::Lru, PdHitPolicy::ForcedVictim),
+        ));
+    }
+    for (name, build) in &builders {
+        assert_batch_matches_loop(name, build(), build(), &accesses);
     }
 }
 
@@ -289,7 +359,8 @@ fn chunked_batches_match_one_big_batch_on_degenerate_geometries() {
     // the degenerate shapes' tally-flush paths get no amortization to
     // hide behind.
     let accesses: Vec<(Addr, AccessKind)> = stream(55).into_iter().take(5_000).collect();
-    for (name, mut whole, mut chunked) in degenerate_pairs() {
+    for (name, build) in degenerate_builders() {
+        let (mut whole, mut chunked) = (build(), build());
         whole.access_batch(&accesses);
         for chunk in accesses.chunks(1) {
             chunked.access_batch(chunk);

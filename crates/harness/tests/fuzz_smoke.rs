@@ -40,7 +40,7 @@ fn pinned_scenario_is_clean_and_job_count_invariant() {
         iters: 120,
         seed: 11,
         jobs: 1,
-        scenario: Some(harness::fuzz::SCENARIOS.len() - 1),
+        scenario: Some(harness::fuzz::resolve_scenario("birthday_adversarial").unwrap()),
     };
     let one = run(&base);
     assert!(one.divergences.is_empty(), "{}", one.render());

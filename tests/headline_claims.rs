@@ -229,3 +229,53 @@ fn related_work_ordering() {
         "HAC is the B-Cache's limit case"
     );
 }
+
+/// The design-choice ablations, each on the D$ stream of one benchmark
+/// (200 000 records): LRU replacement at least matches random (§3.3),
+/// the forced victim beats evicting both blocks on a PD-hit miss
+/// (§2.3), and building the PI from the low tag bits beats the high
+/// ones on near-spaced conflicts. Design A vs B (§6.3) is checked in
+/// `harness::design_space`.
+#[test]
+fn ablations_order_as_the_paper_argues() {
+    use bcache_core::{BCacheParams, BalancedCache, PdHitPolicy, PiTagBits};
+    use cache_sim::{AccessKind, Addr, CacheGeometry, CacheModel, PolicyKind};
+    use trace_gen::{Op, Trace};
+
+    let miss_rate = |benchmark: &str, params: BCacheParams| {
+        let profile = profiles::by_name(benchmark).unwrap();
+        let mut bc = BalancedCache::new(params);
+        for r in Trace::new(&profile, 1).take(200_000) {
+            if let Some(a) = r.op.data_addr() {
+                let kind = if matches!(r.op, Op::Store(_)) {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                bc.access(Addr::new(a), kind);
+            }
+        }
+        bc.stats().miss_rate()
+    };
+    let paper = BCacheParams::paper_default(CacheGeometry::new(16 * 1024, 32, 1).unwrap()).unwrap();
+    let random = BCacheParams::new(paper.geometry(), 8, 8, PolicyKind::Random)
+        .unwrap()
+        .with_seed(7);
+
+    let (lru, rnd) = (miss_rate("equake", paper), miss_rate("equake", random));
+    assert!(lru <= rnd, "equake: LRU {lru:.4} vs random {rnd:.4}");
+
+    let forced = miss_rate("wupwise", paper);
+    let both = miss_rate("wupwise", paper.with_pd_hit_policy(PdHitPolicy::EvictBoth));
+    assert!(
+        forced < both,
+        "wupwise: forced victim {forced:.4} vs evict-both {both:.4}"
+    );
+
+    let low = miss_rate("facerec", paper);
+    let high = miss_rate("facerec", paper.with_pi_tag_bits(PiTagBits::High));
+    assert!(
+        low < high,
+        "facerec: low-bit PI {low:.4} vs high-bit PI {high:.4}"
+    );
+}
