@@ -10,8 +10,6 @@
 //! access path is still slower than the B-Cache's and a 2-way miss rate
 //! is the ceiling.
 
-use telemetry::{NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
@@ -28,8 +26,7 @@ use crate::stats::{CacheStats, SetUsage};
 /// special decoder performs in hardware.
 ///
 /// Both access paths run the decoder bookkeeping around the shared
-/// set-associative step kernel, so they are bit-identical,
-/// [`Observer`] events included.
+/// set-associative step kernel, so they are bit-identical.
 ///
 /// # Examples
 ///
@@ -42,8 +39,8 @@ use crate::stats::{CacheStats, SetUsage};
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct DifferenceBitCache<O: Observer = NullObserver> {
-    inner: SetAssociativeCache<O>,
+pub struct DifferenceBitCache {
+    inner: SetAssociativeCache,
     decoder: Decoder,
 }
 
@@ -102,30 +99,7 @@ impl DifferenceBitCache {
     ///
     /// Returns a [`GeometryError`] for invalid shapes.
     pub fn new(size_bytes: usize, line_bytes: usize) -> Result<Self, GeometryError> {
-        Self::with_observer(size_bytes, line_bytes, NullObserver)
-    }
-}
-
-impl<O: Observer> DifferenceBitCache<O> {
-    /// Like [`DifferenceBitCache::new`], with an observer wired into
-    /// both access paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
-        let inner = SetAssociativeCache::with_observer(
-            size_bytes,
-            line_bytes,
-            2,
-            PolicyKind::Lru,
-            0,
-            observer,
-        )?;
+        let inner = SetAssociativeCache::new(size_bytes, line_bytes, 2, PolicyKind::Lru, 0)?;
         let sets = inner.geometry().sets();
         Ok(DifferenceBitCache {
             inner,
@@ -134,16 +108,6 @@ impl<O: Observer> DifferenceBitCache<O> {
                 updates: 0,
             },
         })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        self.inner.observer()
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        self.inner.observer_mut()
     }
 
     /// How many fills recomputed a set's difference bit.
@@ -161,7 +125,7 @@ impl<O: Observer> DifferenceBitCache<O> {
     }
 }
 
-impl<O: Observer> CacheModel for DifferenceBitCache<O> {
+impl CacheModel for DifferenceBitCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         self.inner.access_with(&mut self.decoder, addr, kind)
     }
@@ -274,41 +238,6 @@ mod tests {
             DifferenceBitCache::new(16 * 1024, 32).unwrap().label(),
             "16k-diffbit"
         );
-    }
-
-    fn fuzz_accesses(records: usize, seed: u64) -> Vec<(Addr, AccessKind)> {
-        let mut x = seed ^ 0x2468_ACE0u64;
-        (0..records)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let kind = if x & 4 == 0 {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                (Addr::new(((x >> 16) % 256) * 32), kind)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn observer_sees_identical_events_from_loop_and_batch() {
-        use telemetry::EventRing;
-        let accesses = fuzz_accesses(5_000, 17);
-        let mut looped =
-            DifferenceBitCache::with_observer(1024, 32, EventRing::new(64 * 1024)).unwrap();
-        let mut batched =
-            DifferenceBitCache::with_observer(1024, 32, EventRing::new(64 * 1024)).unwrap();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        let a: Vec<_> = looped.observer().iter().map(|(_, e)| e.clone()).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| e.clone()).collect();
-        assert!(!a.is_empty(), "the fuzz stream must generate events");
-        assert_eq!(a, b, "per-access and batched event sequences diverge");
     }
 
     /// Differential hook: this cache is contractually an n-way LRU array

@@ -10,8 +10,6 @@
 //! its CAM cost, which [`HighlyAssociativeCache::cam_bits_per_line`]
 //! exposes for the area/energy comparison.
 
-use telemetry::{NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
@@ -26,7 +24,7 @@ use crate::stats::{CacheStats, SetUsage};
 /// kernel (with the subarray-wide CAM search as its way scan — the
 /// 32-entry sweep of the paper's instance is four [`crate::simd`]
 /// lane groups per probe) and is bit-identical to the per-access
-/// path, [`Observer`] events included.
+/// path.
 ///
 /// # Examples
 ///
@@ -42,8 +40,8 @@ use crate::stats::{CacheStats, SetUsage};
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct HighlyAssociativeCache<O: Observer = NullObserver> {
-    inner: SetAssociativeCache<O>,
+pub struct HighlyAssociativeCache {
+    inner: SetAssociativeCache,
     subarray_bytes: usize,
 }
 
@@ -59,23 +57,6 @@ impl HighlyAssociativeCache {
         line_bytes: usize,
         subarray_bytes: usize,
     ) -> Result<Self, GeometryError> {
-        Self::with_observer(size_bytes, line_bytes, subarray_bytes, NullObserver)
-    }
-}
-
-impl<O: Observer> HighlyAssociativeCache<O> {
-    /// Like [`HighlyAssociativeCache::new`], with an observer wired into
-    /// both access paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        subarray_bytes: usize,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
         if subarray_bytes == 0 || !subarray_bytes.is_power_of_two() {
             return Err(GeometryError::NotPowerOfTwo {
                 what: "associativity",
@@ -83,28 +64,11 @@ impl<O: Observer> HighlyAssociativeCache<O> {
             });
         }
         let assoc = subarray_bytes / line_bytes;
-        let inner = SetAssociativeCache::with_observer(
-            size_bytes,
-            line_bytes,
-            assoc,
-            PolicyKind::Lru,
-            0,
-            observer,
-        )?;
+        let inner = SetAssociativeCache::new(size_bytes, line_bytes, assoc, PolicyKind::Lru, 0)?;
         Ok(HighlyAssociativeCache {
             inner,
             subarray_bytes,
         })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        self.inner.observer()
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        self.inner.observer_mut()
     }
 
     /// Size of each fully-associative subarray in bytes.
@@ -127,7 +91,7 @@ impl<O: Observer> HighlyAssociativeCache<O> {
     }
 }
 
-impl<O: Observer> CacheModel for HighlyAssociativeCache<O> {
+impl CacheModel for HighlyAssociativeCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         self.inner.access(addr, kind)
     }

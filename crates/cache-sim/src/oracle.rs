@@ -303,6 +303,7 @@ impl BCacheOracle {
     ///
     /// Panics if `mf_bits > pi_bits` (the BAS would be fractional) or
     /// the widths exceed the address size.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         line_bytes: u64,
         addr_bits: u32,

@@ -9,8 +9,6 @@
 //! — a second cycle is needed. The B-Cache's counterargument: every
 //! B-Cache hit is one cycle, with a miss rate a 2-way cache cannot reach.
 
-use telemetry::{NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
@@ -27,8 +25,7 @@ use crate::stats::{CacheStats, SetUsage};
 /// ([`AccessResult::extra_latency`]).
 ///
 /// Both access paths run the PAD prediction around the shared
-/// set-associative step kernel, so they are bit-identical,
-/// [`Observer`] events included.
+/// set-associative step kernel, so they are bit-identical.
 ///
 /// # Examples
 ///
@@ -41,8 +38,8 @@ use crate::stats::{CacheStats, SetUsage};
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct PartialMatchCache<O: Observer = NullObserver> {
-    inner: SetAssociativeCache<O>,
+pub struct PartialMatchCache {
+    inner: SetAssociativeCache,
     pad: Pad,
 }
 
@@ -80,31 +77,7 @@ impl PartialMatchCache {
     ///
     /// Returns a [`GeometryError`] for invalid shapes.
     pub fn new(size_bytes: usize, line_bytes: usize, pad_bits: u32) -> Result<Self, GeometryError> {
-        Self::with_observer(size_bytes, line_bytes, pad_bits, NullObserver)
-    }
-}
-
-impl<O: Observer> PartialMatchCache<O> {
-    /// Like [`PartialMatchCache::new`], with an observer wired into both
-    /// access paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        pad_bits: u32,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
-        let inner = SetAssociativeCache::with_observer(
-            size_bytes,
-            line_bytes,
-            2,
-            PolicyKind::Lru,
-            0,
-            observer,
-        )?;
+        let inner = SetAssociativeCache::new(size_bytes, line_bytes, 2, PolicyKind::Lru, 0)?;
         Ok(PartialMatchCache {
             inner,
             pad: Pad {
@@ -112,16 +85,6 @@ impl<O: Observer> PartialMatchCache<O> {
                 second_cycle_hits: 0,
             },
         })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        self.inner.observer()
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        self.inner.observer_mut()
     }
 
     /// Hits that needed the second (corrective) cycle.
@@ -140,7 +103,7 @@ impl<O: Observer> PartialMatchCache<O> {
     }
 }
 
-impl<O: Observer> CacheModel for PartialMatchCache<O> {
+impl CacheModel for PartialMatchCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         self.inner.access_with(&mut self.pad, addr, kind)
     }
@@ -256,41 +219,6 @@ mod tests {
             PartialMatchCache::new(16 * 1024, 32, 5).unwrap().label(),
             "16k-pam5"
         );
-    }
-
-    fn fuzz_accesses(records: usize, seed: u64) -> Vec<(Addr, AccessKind)> {
-        let mut x = seed ^ 0x2468_ACE0u64;
-        (0..records)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let kind = if x & 4 == 0 {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                (Addr::new(((x >> 16) % 256) * 32), kind)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn observer_sees_identical_events_from_loop_and_batch() {
-        use telemetry::EventRing;
-        let accesses = fuzz_accesses(5_000, 23);
-        let mut looped =
-            PartialMatchCache::with_observer(1024, 32, 3, EventRing::new(64 * 1024)).unwrap();
-        let mut batched =
-            PartialMatchCache::with_observer(1024, 32, 3, EventRing::new(64 * 1024)).unwrap();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        let a: Vec<_> = looped.observer().iter().map(|(_, e)| e.clone()).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| e.clone()).collect();
-        assert!(!a.is_empty(), "the fuzz stream must generate events");
-        assert_eq!(a, b, "per-access and batched event sequences diverge");
     }
 
     /// Differential hook: this cache is contractually an n-way LRU array

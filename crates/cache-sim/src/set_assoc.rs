@@ -1,7 +1,5 @@
 //! Conventional set-associative caches (2-way … fully associative).
 
-use telemetry::{Event, MissKind, NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::cam;
 use crate::geometry::TagIndexSplit;
@@ -19,7 +17,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 ///
 /// Both access paths run through one shared step function
 /// ([`step_one`]), so per-access and batched replay are bit-identical —
-/// statistics, replacement state, and [`Observer`] events alike. The
+/// statistics, set usage and replacement state alike. The
 /// wrapper models (way-halting, PAM, difference-bit) run their own
 /// bookkeeping around the same step through a [`StepHook`].
 ///
@@ -34,7 +32,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct SetAssociativeCache<O: Observer = NullObserver> {
+pub struct SetAssociativeCache {
     geom: CacheGeometry,
     // One packed tag|dirty|valid word per line, way-major within each
     // set: slot = set * assoc + way.
@@ -42,7 +40,6 @@ pub struct SetAssociativeCache<O: Observer = NullObserver> {
     policy: Box<dyn ReplacementPolicy>,
     stats: CacheStats,
     usage: SetUsage,
-    observer: O,
 }
 
 impl SetAssociativeCache {
@@ -62,7 +59,11 @@ impl SetAssociativeCache {
         policy: PolicyKind,
         seed: u64,
     ) -> Result<Self, GeometryError> {
-        Self::with_observer(size_bytes, line_bytes, assoc, policy, seed, NullObserver)
+        Self::from_geometry(
+            CacheGeometry::new(size_bytes, line_bytes, assoc)?,
+            policy,
+            seed,
+        )
     }
 
     /// Creates a cache from an explicit geometry.
@@ -76,7 +77,19 @@ impl SetAssociativeCache {
         policy: PolicyKind,
         seed: u64,
     ) -> Result<Self, GeometryError> {
-        Self::from_geometry_with_observer(geom, policy, seed, NullObserver)
+        assert!(
+            geom.tag_bits() <= packed::MAX_TAG_BITS,
+            "tag field of {geom} does not fit a packed line word"
+        );
+        let sets = geom.sets();
+        let ways = geom.assoc();
+        Ok(SetAssociativeCache {
+            geom,
+            lines: vec![packed::EMPTY; sets * ways],
+            policy: make_policy(policy, sets, ways, seed),
+            stats: CacheStats::new(),
+            usage: SetUsage::new(sets),
+        })
     }
 
     /// Creates a fully-associative cache with `lines` blocks.
@@ -91,69 +104,6 @@ impl SetAssociativeCache {
         seed: u64,
     ) -> Result<Self, GeometryError> {
         Self::new(lines * line_bytes, line_bytes, lines, policy, seed)
-    }
-}
-
-impl<O: Observer> SetAssociativeCache<O> {
-    /// Like [`SetAssociativeCache::new`], but wiring `observer` into
-    /// both access paths. With the default [`NullObserver`] every
-    /// emission site compiles out.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        assoc: usize,
-        policy: PolicyKind,
-        seed: u64,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
-        Self::from_geometry_with_observer(
-            CacheGeometry::new(size_bytes, line_bytes, assoc)?,
-            policy,
-            seed,
-            observer,
-        )
-    }
-
-    /// Like [`SetAssociativeCache::from_geometry`], with an observer.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for a valid geometry; the `Result` mirrors
-    /// [`SetAssociativeCache::new`].
-    pub fn from_geometry_with_observer(
-        geom: CacheGeometry,
-        policy: PolicyKind,
-        seed: u64,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
-        assert!(
-            geom.tag_bits() <= packed::MAX_TAG_BITS,
-            "tag field of {geom} does not fit a packed line word"
-        );
-        let sets = geom.sets();
-        let ways = geom.assoc();
-        Ok(SetAssociativeCache {
-            geom,
-            lines: vec![packed::EMPTY; sets * ways],
-            policy: make_policy(policy, sets, ways, seed),
-            stats: CacheStats::new(),
-            usage: SetUsage::new(sets),
-            observer,
-        })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.observer
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
     }
 
     fn slot(&self, set: usize, way: usize) -> usize {
@@ -256,7 +206,7 @@ impl<O: Observer> SetAssociativeCache<O> {
     ) -> AccessResult {
         let split = self.geom.split();
         let mut tally = BatchTally::new();
-        let out = step_one::<_, _, _, 0>(
+        let out = step_one::<_, _, 0>(
             &split,
             self.geom.assoc(),
             &mut self.lines,
@@ -264,7 +214,6 @@ impl<O: Observer> SetAssociativeCache<O> {
             self.policy.as_mut(),
             hook,
             &mut tally,
-            &mut self.observer,
             addr,
             kind,
         );
@@ -293,14 +242,11 @@ impl<O: Observer> SetAssociativeCache<O> {
         let assoc = self.geom.assoc();
         let lines = &mut self.lines[..];
         let usage = &mut self.usage;
-        let observer = &mut self.observer;
         let tally = if let Some(lru) = self.policy.as_any_mut().downcast_mut::<Lru>() {
-            replay(&split, assoc, lines, usage, lru, hook, observer, accesses)
+            replay(&split, assoc, lines, usage, lru, hook, accesses)
         } else {
             let policy = self.policy.as_mut();
-            replay(
-                &split, assoc, lines, usage, policy, hook, observer, accesses,
-            )
+            replay(&split, assoc, lines, usage, policy, hook, accesses)
         };
         tally.flush(&mut self.stats);
     }
@@ -338,8 +284,8 @@ pub(crate) struct StepOutcome {
 /// One access against a destructured set-associative array, with the
 /// wrapper's `hook` around it. Every path of this cache and of its
 /// wrappers runs through it, so per-access and batched replay are
-/// bit-identical by construction — statistics, replacement state, and
-/// [`Observer`] events alike.
+/// bit-identical by construction — statistics, set usage and
+/// replacement state alike.
 ///
 /// Generic over the replacement policy so callers can pass either a
 /// concrete [`Lru`] (updates inlined, no virtual dispatch) or the boxed
@@ -349,7 +295,7 @@ pub(crate) struct StepOutcome {
 /// first-match semantics.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn step_one<P: ReplacementPolicy + ?Sized, O: Observer, H: StepHook, const A: usize>(
+fn step_one<P: ReplacementPolicy + ?Sized, H: StepHook, const A: usize>(
     split: &TagIndexSplit,
     assoc: usize,
     lines: &mut [u64],
@@ -357,7 +303,6 @@ fn step_one<P: ReplacementPolicy + ?Sized, O: Observer, H: StepHook, const A: us
     policy: &mut P,
     hook: &mut H,
     tally: &mut BatchTally,
-    observer: &mut O,
     addr: Addr,
     kind: AccessKind,
 ) -> StepOutcome {
@@ -370,12 +315,6 @@ fn step_one<P: ReplacementPolicy + ?Sized, O: Observer, H: StepHook, const A: us
     if let Some(way) = cam::find_match::<A>(ways, tag) {
         tally.record(kind, true);
         usage.record(set, true);
-        if O::ENABLED {
-            observer.event(Event::SetTouch {
-                set: set as u64,
-                hit: true,
-            });
-        }
         policy.on_access(set, way);
         if kind.is_write() {
             ways[way] = packed::set_dirty(ways[way]);
@@ -389,15 +328,6 @@ fn step_one<P: ReplacementPolicy + ?Sized, O: Observer, H: StepHook, const A: us
     }
     tally.record(kind, false);
     usage.record(set, false);
-    if O::ENABLED {
-        observer.event(Event::Miss {
-            kind: MissKind::Tag,
-        });
-        observer.event(Event::SetTouch {
-            set: set as u64,
-            hit: false,
-        });
-    }
     let (way, evicted) = match cam::find_invalid::<A>(ways) {
         Some(w) => (w, None),
         None => {
@@ -423,23 +353,21 @@ fn step_one<P: ReplacementPolicy + ?Sized, O: Observer, H: StepHook, const A: us
 /// [`step_one`] over a whole batch with register-tallied stats,
 /// monomorphized per associativity (`A == 0` is the runtime-width
 /// fallback).
-#[allow(clippy::too_many_arguments)]
-fn replay<P: ReplacementPolicy + ?Sized, O: Observer, H: StepHook>(
+fn replay<P: ReplacementPolicy + ?Sized, H: StepHook>(
     split: &TagIndexSplit,
     assoc: usize,
     lines: &mut [u64],
     usage: &mut SetUsage,
     policy: &mut P,
     hook: &mut H,
-    observer: &mut O,
     accesses: &[(Addr, AccessKind)],
 ) -> BatchTally {
     let mut tally = BatchTally::new();
     macro_rules! kernel {
         ($a:literal) => {
             for &(addr, kind) in accesses {
-                step_one::<P, O, H, $a>(
-                    split, assoc, lines, usage, policy, hook, &mut tally, observer, addr, kind,
+                step_one::<P, H, $a>(
+                    split, assoc, lines, usage, policy, hook, &mut tally, addr, kind,
                 );
             }
         };
@@ -448,7 +376,7 @@ fn replay<P: ReplacementPolicy + ?Sized, O: Observer, H: StepHook>(
     tally
 }
 
-impl<O: Observer> CacheModel for SetAssociativeCache<O> {
+impl CacheModel for SetAssociativeCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         self.access_with(&mut (), addr, kind)
     }
@@ -609,55 +537,6 @@ mod tests {
                 .label(),
             "16k8way"
         );
-    }
-
-    fn fuzz_accesses(records: usize, seed: u64) -> Vec<(Addr, AccessKind)> {
-        let mut x = seed ^ 0x0F1E_2D3Cu64;
-        (0..records)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let kind = if x & 4 == 0 {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                (Addr::new(((x >> 16) % 512) * 32), kind)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn observer_sees_identical_events_from_loop_and_batch() {
-        use telemetry::EventRing;
-        let accesses = fuzz_accesses(5_000, 31);
-        let mut looped = SetAssociativeCache::with_observer(
-            2048,
-            32,
-            4,
-            PolicyKind::Lru,
-            0,
-            EventRing::new(64 * 1024),
-        )
-        .unwrap();
-        let mut batched = SetAssociativeCache::with_observer(
-            2048,
-            32,
-            4,
-            PolicyKind::Lru,
-            0,
-            EventRing::new(64 * 1024),
-        )
-        .unwrap();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        let a: Vec<_> = looped.observer().iter().map(|(_, e)| e.clone()).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| e.clone()).collect();
-        assert!(!a.is_empty(), "the fuzz stream must generate events");
-        assert_eq!(a, b, "per-access and batched event sequences diverge");
     }
 
     /// Differential hook: every replacement policy must track the

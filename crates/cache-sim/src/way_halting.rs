@@ -9,8 +9,6 @@
 //! address bits before translation completes, which is why the paper
 //! discusses the two designs together.
 
-use telemetry::{NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
@@ -27,7 +25,7 @@ use crate::stats::{CacheStats, SetUsage};
 ///
 /// Both access paths run the halt-tag pre-scan ahead of the shared
 /// set-associative step kernel, so they are bit-identical —
-/// statistics, halt counters, and [`Observer`] events alike.
+/// statistics and halt counters alike.
 ///
 /// # Examples
 ///
@@ -41,8 +39,8 @@ use crate::stats::{CacheStats, SetUsage};
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct WayHaltingCache<O: Observer = NullObserver> {
-    inner: SetAssociativeCache<O>,
+pub struct WayHaltingCache {
+    inner: SetAssociativeCache,
     halt: HaltTags,
 }
 
@@ -83,32 +81,7 @@ impl WayHaltingCache {
         assoc: usize,
         halt_bits: u32,
     ) -> Result<Self, GeometryError> {
-        Self::with_observer(size_bytes, line_bytes, assoc, halt_bits, NullObserver)
-    }
-}
-
-impl<O: Observer> WayHaltingCache<O> {
-    /// Like [`WayHaltingCache::new`], with an observer wired into both
-    /// access paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        assoc: usize,
-        halt_bits: u32,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
-        let inner = SetAssociativeCache::with_observer(
-            size_bytes,
-            line_bytes,
-            assoc,
-            PolicyKind::Lru,
-            0,
-            observer,
-        )?;
+        let inner = SetAssociativeCache::new(size_bytes, line_bytes, assoc, PolicyKind::Lru, 0)?;
         Ok(WayHaltingCache {
             inner,
             halt: HaltTags {
@@ -117,16 +90,6 @@ impl<O: Observer> WayHaltingCache<O> {
                 ways_halted: 0,
             },
         })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        self.inner.observer()
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        self.inner.observer_mut()
     }
 
     /// Fraction of way lookups suppressed by the halt tags; the original
@@ -145,7 +108,7 @@ impl<O: Observer> WayHaltingCache<O> {
     }
 }
 
-impl<O: Observer> CacheModel for WayHaltingCache<O> {
+impl CacheModel for WayHaltingCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         self.inner.access_with(&mut self.halt, addr, kind)
     }
@@ -257,41 +220,6 @@ mod tests {
             WayHaltingCache::new(16 * 1024, 32, 4, 4).unwrap().label(),
             "16k4way-halt4"
         );
-    }
-
-    fn fuzz_accesses(records: usize, seed: u64) -> Vec<(Addr, AccessKind)> {
-        let mut x = seed ^ 0x2468_ACE0u64;
-        (0..records)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let kind = if x & 4 == 0 {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                (Addr::new(((x >> 16) % 512) * 32), kind)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn observer_sees_identical_events_from_loop_and_batch() {
-        use telemetry::EventRing;
-        let accesses = fuzz_accesses(5_000, 13);
-        let mut looped =
-            WayHaltingCache::with_observer(2048, 32, 4, 4, EventRing::new(64 * 1024)).unwrap();
-        let mut batched =
-            WayHaltingCache::with_observer(2048, 32, 4, 4, EventRing::new(64 * 1024)).unwrap();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        let a: Vec<_> = looped.observer().iter().map(|(_, e)| e.clone()).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| e.clone()).collect();
-        assert!(!a.is_empty(), "the fuzz stream must generate events");
-        assert_eq!(a, b, "per-access and batched event sequences diverge");
     }
 
     /// Differential hook: this cache is contractually an n-way LRU array

@@ -39,9 +39,9 @@
 //!                    [--baseline PATH] [--smoke] [--per-access]
 //!   simulator micro-benchmarks at a pinned record count, written as
 //!   BENCH_repro.json rows ({model, maccesses_per_sec, records, seed,
-//!   git_rev, lanes}); --smoke shortens the run and fails if
-//!   direct-mapped throughput drops >20% versus the committed
-//!   BENCH_baseline.json
+//!   git_rev, lanes}); --smoke shortens the run and fails if any
+//!   row's throughput falls below half its committed
+//!   BENCH_baseline.json figure
 //!
 //! bcache-repro profile [--model NAME] [--benchmark NAME] [--side i|d]
 //!                      [--records N] [--seed S] [--jobs N] [--window N]
@@ -72,10 +72,10 @@
 //!   bench-schema JSON row (model serve-loadgen)
 //! ```
 //!
-//! `run`, `stats`, `fig3`, `bench`, `fuzz` and `oracle` additionally accept
-//! `--metrics <path>` (merged counters/histograms/timings as JSON) and —
-//! where an event source exists (`run`, `fig3`) — `--trace-events
-//! <path>` (typed B-Cache events as JSON Lines).
+//! `run`, `stats`, `fig3`, `bench`, `fuzz`, `oracle` and `profile`
+//! additionally accept `--metrics <path>` (merged counters/histograms/
+//! timings as JSON) and — where an event source exists (`run`, `fig3`)
+//! — `--trace-events <path>` (typed B-Cache events as JSON Lines).
 //!
 //! `--jobs N` sets the experiment engine's worker-thread count (default:
 //! available parallelism). Output is bit-identical for every `N`.
@@ -497,8 +497,8 @@ fn main() -> ExitCode {
     let engine = opts.engine();
     if tele.any() && experiment != "fig3" {
         tele_warn!(
-            "--metrics/--trace-events apply to run, stats, fig3, bench and fuzz; \
-             ignoring for {experiment}"
+            "--metrics/--trace-events apply to run, stats, fig3, bench, fuzz, oracle \
+             and profile; ignoring for {experiment}"
         );
     }
 

@@ -62,6 +62,7 @@ impl MissRateFigure {
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn run_figure(
     engine: &Engine,
     scope: &str,

@@ -140,7 +140,7 @@ pub fn job_seed(base: u64, benchmark: &str, side: Side) -> u64 {
 /// readers keep working instead of cascading the panic.
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    entries: Mutex<HashMap<(String, u64, u64), Arc<OnceLock<Arc<TraceBuffer>>>>>,
+    entries: TraceMap,
     sides: SideMap,
     // Wall-clock spans of trace generation and side extraction. Timing
     // is inherently non-deterministic (and whether an extraction reads
@@ -150,6 +150,7 @@ pub struct TraceCache {
     timing: Mutex<Recorder>,
 }
 
+type TraceMap = Mutex<HashMap<(String, u64, u64), Arc<OnceLock<Arc<TraceBuffer>>>>>;
 type SideMap = Mutex<HashMap<(String, u64, u64, u64, bool), Arc<OnceLock<Arc<SideTrace>>>>>;
 
 impl TraceCache {

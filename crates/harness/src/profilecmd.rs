@@ -8,8 +8,8 @@
 //! ```
 //!
 //! The subcommand replays the benchmark's side stream through the
-//! selected model in window-sized batches on the batched-kernel
-//! (`NullObserver`) fast path, deriving one [`WindowRow`] per window
+//! selected model in window-sized batches on the unobserved batched
+//! kernel, deriving one [`WindowRow`] per window
 //! from stats deltas — miss rate, PD churn, writebacks, and a per-set
 //! occupancy heat row. Three artifacts come out of one run:
 //!
@@ -22,8 +22,8 @@
 //! * a phase-attribution report on stdout: the wall-time fraction
 //!   spent generating the trace, replaying the kernel, measuring
 //!   overhead, and reporting, plus the measured overhead of the
-//!   windowed replay versus an unwindowed `NullObserver` replay of
-//!   the direct-mapped batched kernel (`--smoke` asserts it stays
+//!   windowed replay versus an unwindowed replay of the direct-mapped
+//!   batched kernel (`--smoke` asserts it stays
 //!   under [`OVERHEAD_LIMIT`]).
 //!
 //! Unlike `run`/`stats`, the profile deliberately skips the warm-up

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use telemetry::Histogram;
 
 use super::listener::Server;
-use super::protocol::{json_str_field, json_u64_field};
+use super::protocol::{json_str_field, json_u64_field, validate_records};
 use super::ServeOptions;
 use crate::bench;
 use crate::config::validate_len;
@@ -117,6 +117,7 @@ impl LoadgenOptions {
             }
         }
         validate_len(RunLength::with_records(opts.records))?;
+        validate_records(opts.records)?;
         Ok(opts)
     }
 }
@@ -423,6 +424,8 @@ mod tests {
         assert!(LoadgenOptions::parse(&["--connections", "0"]).is_err());
         assert!(LoadgenOptions::parse(&["--requests", "0"]).is_err());
         assert!(LoadgenOptions::parse(&["--records", "0"]).is_err());
+        assert!(LoadgenOptions::parse(&["--records", "2000000"]).is_ok());
+        assert!(LoadgenOptions::parse(&["--records", "2000001"]).is_err());
         assert!(LoadgenOptions::parse(&["--frobnicate"]).is_err());
     }
 

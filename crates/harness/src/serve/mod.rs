@@ -234,6 +234,9 @@ fn run_malformed_battery(addr: &str) -> Result<u64, String> {
         "x".repeat(MAX_LINE_BYTES * 2),
         // Degenerate run length.
         "{\"type\": \"submit\", \"id\": \"t3\", \"job\": \"replay\", \"records\": 0}".into(),
+        // A run longer than the paper's, which would cost the shared
+        // server 16 bytes per access before any watchdog could act.
+        "{\"type\": \"submit\", \"id\": \"t4\", \"job\": \"replay\", \"records\": 2000001}".into(),
     ];
     let mut errors = 0u64;
     for frame in &hostile {

@@ -50,6 +50,20 @@ pub const DEFAULT_RECORDS: u64 = 50_000;
 /// Default profile window when a submit frame omits `window`.
 pub const DEFAULT_WINDOW: u64 = 4096;
 
+/// Rejects a job longer than the paper's run length
+/// ([`RunLength::default`], 2 000 000 records). A job's side trace
+/// costs 16 bytes per access on a server that every tenant shares, so
+/// no client may ask for more than the offline experiments replay.
+pub(crate) fn validate_records(records: u64) -> Result<(), String> {
+    let max = RunLength::default().records;
+    if records > max {
+        return Err(format!(
+            "records {records} exceeds the paper's run length of {max}"
+        ));
+    }
+    Ok(())
+}
+
 /// A parsed client request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
@@ -185,6 +199,7 @@ fn parse_submit(line: &str) -> Result<JobRequest, String> {
     }
 
     let records = json_u64_field(line, "records").unwrap_or(DEFAULT_RECORDS);
+    validate_records(records)?;
     let mut len = RunLength::with_records(records);
     if let Some(w) = json_u64_field(line, "warmup") {
         len.warmup = w;
@@ -353,6 +368,18 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn records_are_capped_at_the_papers_run_length() {
+        let submit = |records: u64| {
+            parse_request(&format!(
+                "{{\"type\": \"submit\", \"id\": \"r\", \"job\": \"replay\", \
+                 \"records\": {records}}}"
+            ))
+        };
+        assert!(submit(2_000_000).is_ok());
+        assert!(submit(2_000_001).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! The flags are stripped from the argument list *before* each
 //! subcommand's own option parser runs, so `RunOptions`, `BenchOptions`
-//! and `FuzzOptions` stay untouched (and `Copy`).
+//! and `FuzzOptions` stay untouched (and `FuzzOptions` stays `Copy`).
 
 use std::io;
 

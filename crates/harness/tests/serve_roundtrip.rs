@@ -219,7 +219,8 @@ fn hostile_frames_get_error_frames_and_the_session_survives() {
         "{\"type\": \"submit\", \"id\": \"h2\", \"job\": \"divine\"}".to_string(),
         "{\"type\": \"submit\", \"job\": \"replay\"}".to_string(), // no id
         "{\"type\": \"submit\", \"id\": \"h3\", \"job\": \"replay\", \"records\": 0}".to_string(),
-        "y".repeat(MAX_LINE_BYTES * 2), // oversized line
+        submit_replay("h4", "dm", 2_000_001), // longer than the paper's run
+        "y".repeat(MAX_LINE_BYTES * 2),       // oversized line
     ];
     for frame in &hostile {
         client.send(frame).unwrap();

@@ -1,11 +1,16 @@
 //! Typed simulator events, the zero-cost [`Observer`] trait, and the
 //! bounded [`EventRing`] buffer with JSONL rendering.
 //!
-//! Cache models take an observer as a generic parameter defaulting to
+//! Only the B-Cache (`bcache_core::BalancedCache`) takes an observer:
+//! its PD reprograms, BAS victims and PD-forced/predetermined misses
+//! are information that no counter holds. The conventional models in
+//! `cache-sim` have none — their per-set and aggregate counters
+//! (`SetUsage`, `CacheStats`) already say everything an event would.
+//! The B-Cache's observer is a generic parameter defaulting to
 //! [`NullObserver`]. Emission sites are guarded by `if O::ENABLED`, an
 //! associated `const`, so with the default observer the branch — and
-//! the event construction behind it — is compiled out of the batched
-//! replay kernels entirely.
+//! the event construction behind it — is compiled out of the replay
+//! kernel entirely.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -162,7 +167,7 @@ impl Event {
 ///
 /// `ENABLED` is an associated constant so emission sites can be written
 /// `if O::ENABLED { o.event(...) }` and fold to nothing when the
-/// observer is [`NullObserver`] — the hot replay kernels monomorphize
+/// observer is [`NullObserver`] — the B-Cache replay kernel monomorphizes
 /// with the branch removed.
 pub trait Observer: fmt::Debug {
     /// Whether this observer wants events at all. Emission sites must
@@ -183,15 +188,6 @@ impl Observer for NullObserver {
 
     #[inline(always)]
     fn event(&mut self, _event: Event) {}
-}
-
-impl<O: Observer> Observer for &mut O {
-    const ENABLED: bool = O::ENABLED;
-
-    #[inline(always)]
-    fn event(&mut self, event: Event) {
-        (**self).event(event);
-    }
 }
 
 /// A bounded ring buffer of events with drop accounting.
@@ -347,10 +343,8 @@ mod tests {
 
     #[test]
     fn null_observer_is_disabled() {
-        assert!(!NullObserver::ENABLED);
-        assert!(EventRing::ENABLED);
-        assert!(<&mut EventRing as Observer>::ENABLED);
-        assert!(!<&mut NullObserver as Observer>::ENABLED);
+        const { assert!(!NullObserver::ENABLED) };
+        const { assert!(EventRing::ENABLED) };
     }
 
     #[test]

@@ -11,17 +11,19 @@
 //!   be excluded from golden comparisons ([`Recorder::to_json`]).
 //! * [`Event`] / [`Observer`] — typed simulator events (PD
 //!   reprogramming, BAS victim selection, misses, set-index touches)
-//!   emitted by the cache models. The models take the observer as a
-//!   generic parameter defaulting to [`NullObserver`], whose
-//!   [`Observer::ENABLED`]` == false` compiles every emission site out
-//!   of the batched replay kernels — telemetry is provably zero-cost
-//!   when disabled.
+//!   emitted by the B-Cache, the one model whose events carry what no
+//!   counter holds. It takes the observer as a generic parameter
+//!   defaulting to [`NullObserver`], whose [`Observer::ENABLED`]` ==
+//!   false` compiles every emission site out of its replay kernel. The
+//!   conventional models in `cache-sim` report through their
+//!   `CacheStats` and `SetUsage` counters alone.
 //! * [`EventRing`] — a bounded ring buffer of events with overflow
 //!   (drop) accounting and a JSONL rendering for `--trace-events`.
 //! * [`WindowSeries`] — a time-resolved view: counters snapshotted
 //!   every N accesses into a bounded ring of [`WindowRow`]s (miss
-//!   rate, PD churn, writebacks, per-set occupancy heat), fed either
-//!   from stats deltas or as an [`Observer`], with an additive
+//!   rate, PD churn, writebacks, per-set occupancy heat), fed from
+//!   stats deltas (or, as a test reference, as the B-Cache's
+//!   [`Observer`]), with an additive
 //!   window-aligned merge. Rows are deterministic and render as
 //!   JSONL/CSV (`bcache-repro profile`).
 //! * [`SpanLog`] / [`chrome_trace_json`] — hierarchical wall-clock

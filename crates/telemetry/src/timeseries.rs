@@ -14,15 +14,17 @@
 //!
 //! * **Stats deltas** — the profiling driver replays a trace in
 //!   window-sized batches and pushes one finished row per chunk via
-//!   [`WindowSeries::push_row`]. This keeps the batched kernels on the
-//!   `NullObserver` fast path (the profile subcommand's measured
-//!   overhead bound rests on it).
+//!   [`WindowSeries::push_row`]. This keeps the batched kernels
+//!   unobserved (the profile subcommand's measured overhead bound
+//!   rests on it), and it is the only producer any command runs.
 //! * **Events** — `WindowSeries` implements [`Observer`], deriving the
-//!   same rows from the event stream of an instrumented model: every
-//!   access emits exactly one [`Event::SetTouch`] (last in its access,
-//!   pinned by the batch-equivalence suite), which closes windows on
-//!   the access grid. The equivalence of the two producers is itself a
-//!   test (`harness/tests/profile_series.rs`).
+//!   same rows from the event stream of an instrumented B-Cache (the
+//!   only model that emits events): every access emits exactly one
+//!   [`Event::SetTouch`] (last in its access, pinned by the
+//!   batch-equivalence suite), which closes windows on the access
+//!   grid. This producer is the test reference that
+//!   `harness/tests/profile_series.rs` compares the stats-delta one
+//!   against.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;

@@ -321,7 +321,7 @@ mod tests {
         let p = Program::assemble(insns, 0x40_0000);
         let mut m = Machine::new(p).with_fuel(1_000_000);
         let mut trace = Vec::new();
-        while let Some(r) = m.next() {
+        for r in m.by_ref() {
             trace.push(r);
         }
         (m, trace)
